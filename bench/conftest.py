@@ -1,0 +1,7 @@
+"""Makes edlkit (from ./src) and the benchmark modules importable for bench/ tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
