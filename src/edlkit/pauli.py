@@ -75,6 +75,34 @@ def _letter_digits(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=6)
+def monomial_form(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every Pauli word as a phased permutation matrix, without building it.
+
+    Returns (cols, phases), each of shape (4^n, 2^n), with word p's matrix
+    holding phases[p, a] at row a, column cols[p, a] and zeros elsewhere.
+    cols[p, a] = a XOR x_p, where x_p has a bit set for each X or Y letter;
+    the phase is (-i)^(number of Y letters) times -1 per set bit of a under
+    a Y or Z letter. Read-only.
+    """
+    digits = _letter_digits(n)
+    x_mask = np.zeros(4**n, dtype=np.int64)
+    z_mask = np.zeros(4**n, dtype=np.int64)
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        x_mask += bit * ((digits[:, q] == 1) | (digits[:, q] == 2))
+        z_mask += bit * ((digits[:, q] == 2) | (digits[:, q] == 3))
+    rows = np.arange(2**n)
+    cols = rows[None, :] ^ x_mask[:, None]
+    flips = rows[None, :] & z_mask[:, None]
+    parity = sum((flips >> k) & 1 for k in range(n)) % 2
+    n_y = np.sum(digits == 2, axis=1)
+    phases = np.array([1, -1j, -1, 1j])[n_y % 4, None] * np.where(parity == 1, -1.0, 1.0)
+    cols.setflags(write=False)
+    phases.setflags(write=False)
+    return cols, phases
+
+
+@functools.lru_cache(maxsize=6)
 def pauli_basis(n: int) -> np.ndarray:
     """Stack of all 4^n Pauli matrices, shape (4^n, 2^n, 2^n). Read-only."""
     mats_1q = np.stack([PAULI_1Q[c] for c in LETTERS])

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .witness import ObservableExpr, Witness, p_noise
+from .witness import (
+    ObservableExpr,
+    Witness,
+    _expectation,
+    _noise_tolerance,
+    _state_coords,
+    p_noise,
+)
 
 MODES = ("all_axes", "y_only")
 
@@ -104,10 +111,17 @@ def tolerance_curve(
         raise ValueError("grid must be nonempty")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("grid must be strictly ascending")
+    rho_coords = _state_coords(w.expr.n, rho)  # once per curve, not per angle
     tolerances = tuple(
-        p_noise(misalign_expr(w.expr, MisalignmentSpec(t, mode)), rho) for t in thetas
+        _tolerance_at(w.expr, MisalignmentSpec(t, mode), rho_coords) for t in thetas
     )
     return ToleranceCurve(thetas=thetas, tolerances=tolerances, witness_label=w.label)
+
+
+def _tolerance_at(expr: ObservableExpr, spec: MisalignmentSpec, rho_coords) -> float | None:
+    """p_noise of the misaligned expression on a state in Pauli coordinates."""
+    tilted = misalign_expr(expr, spec)
+    return _noise_tolerance(tilted, _expectation(tilted, rho_coords))
 
 
 def crossover(
@@ -148,7 +162,7 @@ def crossover(
     if all(v == 0 for v in values):
         raise ValueError("no sign change: tolerance curves coincide on the bracket")
     flips = [
-        (scan[i], scan[i + 1])
+        i
         for i in range(len(values) - 1)
         if values[i] == 0 or (values[i] < 0) != (values[i + 1] < 0)
     ]
@@ -156,13 +170,15 @@ def crossover(
         raise ValueError("no sign change: tolerance curves do not cross on the bracket")
     if len(flips) > 1:
         raise ValueError("tolerance curves cross more than once on the bracket")
-    lo, up = flips[0]
+    lo, up = scan[flips[0]], scan[flips[0] + 1]
+    lo_negative = values[flips[0]] < 0  # carried along: lo is never re-evaluated
     while up - lo > tol:
         mid = 0.5 * (lo + up)
-        if (diff(lo) < 0) != (diff(mid) < 0):
+        mid_negative = diff(mid) < 0
+        if lo_negative != mid_negative:
             up = mid
         else:
-            lo = mid
+            lo, lo_negative = mid, mid_negative
     return 0.5 * (lo + up)
 
 

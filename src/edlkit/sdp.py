@@ -8,17 +8,25 @@ certifies that measurements on the family's subsets detect genuine
 multipartite entanglement, and the optimizer is the witness.
 
 Everything is solved by a feasible-start barrier (Newton path-following)
-method working in Pauli coordinates, where the partial transpose is a
-diagonal sign flip. The witness coordinates and the P_A blocks are the
-variables; each Q_A is eliminated exactly as Q_A = signs_A * (x_W - r_A), so
-every iterate satisfies the equality constraints to machine precision and the
-returned certificates are exactly feasible by construction. Deterministic:
-no randomization anywhere, so identical inputs give identical iterates.
+method. The witness W is kept in Pauli coordinates, its free words being the
+variables next to the P_A blocks; each Q_A is eliminated exactly as
+Q_A = T_A(W - P_A), so every iterate satisfies the equality constraints to
+machine precision and the returned certificates are exactly feasible by
+construction. The cone blocks P_A and Q_A live in the orthonormal real entry
+basis of Hermitian matrices (diagonal, then sqrt2*Re and sqrt2*Im of the
+upper triangle). There the partial transpose T_A is a signed permutation of
+coordinates and the logdet curvature has a closed form (the symmetric
+Kronecker product of Alizadeh, Haeberly & Overton, SIAM J. Optim. 8, 1998),
+assembled entrywise in O(16^n) with no 4^n x 4^n matrix product. Newton
+steps are affine invariant, so the basis choice changes only rounding.
+Deterministic: no randomization anywhere, so identical inputs give identical
+iterates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -118,32 +126,140 @@ def build_problem(rho: np.ndarray, family) -> SdpProblem:
     )
 
 
-def _logdet_grad_hess(x: np.ndarray, basis: np.ndarray, basis_flat: np.ndarray):
-    """(gradient, Hessian) of logdet M(x) in Pauli coordinates; M must be PD.
+_SQRT2 = np.sqrt(2.0)
 
-    grad[p] = Tr(M^-1 P_p);  hess[p,q] = -Tr(M^-1 P_p M^-1 P_q)  (returned
-    positive, i.e. as the barrier curvature K with K[p,q] = +Tr(...)).
+
+class _EntryBasis:
+    """Orthonormal real entry basis of the Hermitian 2^n x 2^n matrices.
+
+    Coordinates of M: the diagonal M[i,i], then sqrt2*Re M[i,j] and then
+    sqrt2*Im M[i,j] over the strict upper triangle i < j, row-major. The basis
+    is orthonormal for <A, B> = Tr(AB), so logdet M(x) has gradient
+    coords(N) and curvature Tr(E_k N E_l N), N = M^-1 (see ``_curvature``).
+
+    Each coordinate belongs to one matrix-unit pair (a, b): the diagonal
+    coordinates to (i, i), both coordinates of an upper entry to (i, j).
+    ``pairs`` holds those flat positions a*d + b, diagonal then upper.
     """
-    d = basis.shape[1]
-    m = (x @ basis_flat).reshape(d, d)
-    np.linalg.cholesky(m)  # fail fast (and loudly) if not PD
-    minv = np.linalg.inv(m)
-    grad = np.real(basis_flat @ minv.T.ravel())
-    t = np.matmul(minv[None, :, :], basis)  # t[p] = M^-1 P_p
-    tf = t.reshape(-1, d * d)
-    ts = t.transpose(0, 2, 1).reshape(-1, d * d)
-    hess = np.real(tf @ ts.T)
-    return grad, hess
+
+    def __init__(self, n: int):
+        d = 2**n
+        iu, ju = np.triu_indices(d, 1)
+        self.d, self.m = d, iu.size
+        self.diag = np.arange(d) * (d + 1)
+        self.upper = iu * d + ju
+        self.lower = ju * d + iu
+        self.pairs = np.concatenate([self.diag, self.upper])
+        self.identity = np.concatenate([np.ones(d), np.zeros(d * d - d)])
+
+    def coords(self, m: np.ndarray) -> np.ndarray:
+        """Entry coordinates of a Hermitian matrix, or of a stack of them."""
+        flat = m.reshape(*m.shape[:-2], self.d * self.d)
+        up = flat[..., self.upper]
+        return np.concatenate(
+            [flat[..., self.diag].real, _SQRT2 * up.real, _SQRT2 * up.imag], axis=-1
+        )
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`coords` for one coordinate vector."""
+        d, m = self.d, self.m
+        flat = np.zeros(d * d, dtype=complex)
+        flat[self.diag] = x[:d]
+        z = (x[d : d + m] + 1j * x[d + m :]) / _SQRT2
+        flat[self.upper] = z
+        flat[self.lower] = z.conj()
+        return flat.reshape(d, d)
 
 
-def _logdet(x: np.ndarray, basis_flat: np.ndarray, d: int) -> float | None:
+class _PartialTranspose:
+    """T_A in entry coordinates: (T x)[k] = sign[k] * x[perm[k]].
+
+    T_A only moves matrix entries, so it permutes the coordinates; an upper
+    entry moved below the diagonal is read back conjugated, which flips the
+    sign of its Im coordinate. ``pairs`` is the basis' pairs moved by T_A.
+    """
+
+    def __init__(self, basis: _EntryBasis, part: frozenset[int]):
+        d, m = basis.d, basis.m
+        # moved[f]: the flat position whose entry T_A carries to position f
+        moved = pauli.partial_transpose(np.arange(d * d).reshape(d, d), sorted(part))
+        moved = moved.real.astype(np.intp).ravel()
+        re_slot = np.empty(d * d, dtype=np.intp)
+        im_slot = np.zeros(d * d, dtype=np.intp)
+        im_sign = np.zeros(d * d)
+        re_slot[basis.diag] = np.arange(d)
+        for flat, sign in ((basis.upper, 1.0), (basis.lower, -1.0)):
+            re_slot[flat] = d + np.arange(m)
+            im_slot[flat] = d + m + np.arange(m)
+            im_sign[flat] = sign
+        src_diag, src_up = moved[basis.diag], moved[basis.upper]
+        self.perm = np.concatenate([re_slot[src_diag], re_slot[src_up], im_slot[src_up]])
+        self.sign = np.concatenate([np.ones(d + m), im_sign[src_up]])
+        self.pairs = moved[basis.pairs]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.sign * x[..., self.perm]
+
+
+def _inverse(basis: _EntryBasis, x: np.ndarray) -> np.ndarray:
+    """N = M(x)^-1 from the Cholesky factor; LinAlgError unless M(x) is PD."""
+    linv = np.linalg.inv(np.linalg.cholesky(basis.matrix(x)))
+    return linv.conj().T @ linv
+
+
+def _logdet(basis: _EntryBasis, x: np.ndarray) -> float | None:
     """log det of M(x), or None when M(x) is not positive definite."""
-    m = (x @ basis_flat).reshape(d, d)
     try:
-        chol = np.linalg.cholesky(m)
+        chol = np.linalg.cholesky(basis.matrix(x))
     except np.linalg.LinAlgError:
         return None
     return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
+
+
+def _curvature(basis: _EntryBasis, blocks) -> np.ndarray:
+    """Sum of logdet curvatures Tr(E_k N E_l N) over (N, pairs) blocks.
+
+    With E_k expanded in matrix units, the curvature is a fixed signed
+    combination of Z[(a,b),(c,d)] = N[b,c] N[d,a] over the units of E_k and
+    E_l. Z at a swapped pair (b,a),(d,c) is the conjugate, so the diagonal
+    and upper pairs suffice. A block with T_A's pairs gives T_A K T_A, since
+    T_A permutes matrix units; K_P + T_A K_Q T_A is one combination of
+    Z_P + Z_Q(moved pairs). O(16^n) work, no matrix product.
+    """
+    d, m = basis.d, basis.m
+    z_pairs = z_swapped = 0.0
+    for inv, pairs in blocks:
+        a, b = pairs // d, pairs % d
+        rows_b = inv[b]
+        g = rows_b[:, a]
+        z_pairs = z_pairs + g * g.T  # Z at pairs (a, b), (c, d)
+        au, bu = a[d:], b[d:]
+        z_swapped = z_swapped + rows_b[d:, bu] * inv[au][:, au].T  # at (a, b), (d, c)
+    z_dd, z_du, z_ud = z_pairs[:d, :d], z_pairs[:d, d:], z_pairs[d:, :d]
+    total = z_pairs[d:, d:] + z_swapped
+    diff = z_swapped - z_pairs[d:, d:]
+    re, im = slice(d, d + m), slice(d + m, None)
+    hess = np.empty((d * d, d * d))
+    hess[:d, :d] = z_dd.real
+    hess[:d, re] = _SQRT2 * z_du.real
+    hess[:d, im] = -_SQRT2 * z_du.imag
+    hess[re, :d] = _SQRT2 * z_ud.real
+    hess[im, :d] = -_SQRT2 * z_ud.imag
+    hess[re, re] = total.real
+    hess[im, re] = -total.imag
+    hess[re, im] = diff.imag
+    hess[im, im] = diff.real
+    return hess
+
+
+@functools.lru_cache(maxsize=6)
+def _entry_basis(n: int) -> _EntryBasis:
+    return _EntryBasis(n)
+
+
+@functools.lru_cache(maxsize=64)
+def _partial_transpose(n: int, part: frozenset[int]) -> _PartialTranspose:
+    return _PartialTranspose(_entry_basis(n), part)
 
 
 def synthesize(
@@ -152,38 +268,38 @@ def synthesize(
     """Solve the synthesis program; negative alpha means the family detects rho."""
     problem = build_problem(rho, family)
     n, d = problem.n, problem.dim
-    big = 4**n
-    basis = pauli.pauli_basis(n)
-    basis_flat = basis.reshape(big, d * d)
+    basis = _entry_basis(n)
     parts = problem.bipartitions
-    signs = np.stack([pauli.pt_signs(n, a) for a in parts])
+    transposes = [_partial_transpose(n, a) for a in parts]
     free_idx = np.array([pauli.word_index(w) for w in problem.free_words], dtype=int)
+    signs = np.stack([pauli.pt_signs(n, a)[free_idx] for a in parts])
     c = problem.target_vector
     nfree = len(free_idx)
 
+    # Free words as phased permutations, and their entry coordinates: the
+    # witness is x_id*I + sum_f w_f P_f, in entry coordinates x0 + w @ words.
+    cols, phases = (table[free_idx] for table in pauli.monomial_form(n))
+    word_mats = np.zeros((nfree, d, d), dtype=complex)
+    np.put_along_axis(word_mats, cols[:, :, None], phases[:, :, None], axis=2)
+    words = basis.coords(word_mats)
+    x0 = problem.identity_coeff * basis.identity
+
     # Feasible start: W = I/2^n, P_A = Q_A = I/2^(n+1).
     w = np.zeros(nfree)
-    r = np.zeros((len(parts), big))
-    r[:, 0] = 0.5 / d
+    r = np.tile(0.5 / d * basis.identity, (len(parts), 1))
 
     nu = 2.0 * d * len(parts)  # total barrier parameter (two cones per bipartition)
     t_barrier = 1.0
     mu = 100.0
     iterations = 0
 
-    def witness_coords(wv: np.ndarray) -> np.ndarray:
-        xw = np.zeros(big)
-        xw[0] = problem.identity_coeff
-        xw[free_idx] = wv
-        return xw
-
     def psi(tb: float, wv: np.ndarray, rv: np.ndarray) -> float:
         """Barrier merit; +inf outside the cone product."""
-        xw = witness_coords(wv)
+        xw = x0 + wv @ words
         total = tb * float(c @ wv)
-        for a in range(len(parts)):
-            for x in (rv[a], signs[a] * (xw - rv[a])):
-                ld = _logdet(x, basis_flat, d)
+        for a, pt in enumerate(transposes):
+            for x in (rv[a], pt(xw - rv[a])):
+                ld = _logdet(basis, x)
                 if ld is None:
                     return np.inf
                 total -= ld
@@ -201,27 +317,30 @@ def synthesize(
                     f"no convergence after {tol.max_iter} Newton iterations",
                     last_gap=nu / t_barrier,
                 )
-            xw = witness_coords(w)
+            xw = x0 + w @ words
             grad_w = t_barrier * c.copy()
             schur = np.zeros((nfree, nfree))
             rhs_w = np.zeros(nfree)
             solves = []
             gammas = []
             try:
-                for a in range(len(parts)):
-                    q = signs[a] * (xw - r[a])
-                    g_r, k_r = _logdet_grad_hess(r[a], basis, basis_flat)
-                    g_q, k_q = _logdet_grad_hess(q, basis, basis_flat)
-                    sg_q = signs[a] * g_q
-                    gamma = -g_r + sg_q
-                    grad_w -= sg_q[free_idx]
-                    g_mat = (signs[a][:, None] * signs[a][None, :]) * k_q
-                    b_mat = k_r + g_mat
-                    gf = g_mat[:, free_idx]
+                for a, pt in enumerate(transposes):
+                    n_p = _inverse(basis, r[a])
+                    n_q = _inverse(basis, pt(xw - r[a]))
+                    g_q = basis.coords(n_q)
+                    gamma = pt(g_q) - basis.coords(n_p)
+                    grad_w -= signs[a] * (words @ g_q)
+                    b_mat = _curvature(basis, ((n_p, basis.pairs), (n_q, pt.pairs)))
+                    # Witness coupling T_A K_Q T_A P_f = s_f T_A(N_Q P_f N_Q),
+                    # since T_A(P_f) = s_f P_f.
+                    hvp = basis.coords(n_q @ (phases[:, :, None] * n_q[cols]))
+                    gf = (signs[a][:, None] * pt(hvp)).T
                     sol = np.linalg.solve(
                         b_mat, np.concatenate([gamma[:, None], gf], axis=1)
                     )
-                    schur += g_mat[np.ix_(free_idx, free_idx)] - gf.T @ sol[:, 1:]
+                    # Schur block words.gf - gf'.b^-1.gf, with the cancelling
+                    # difference taken before the product with the large gf.
+                    schur += (words - sol[:, 1:].T) @ gf
                     rhs_w -= gf.T @ sol[:, 0]
                     solves.append(sol)
                     gammas.append(gamma)
@@ -256,13 +375,15 @@ def synthesize(
             break
         t_barrier = min(mu * t_barrier, 2.0 * nu / tol.gap)
 
-    xw = witness_coords(w)
+    xw = np.zeros(4**n)  # the witness in Pauli coordinates
+    xw[0] = problem.identity_coeff
+    xw[free_idx] = w
     alpha = float(c @ w + 1.0 / d)  # constant term: Tr((I/2^n) rho) / 2^n * 2^n
-    certificates = {}
-    for a, part in enumerate(parts):
-        p_mat = pauli.from_pauli_coords(r[a])
-        q_mat = pauli.from_pauli_coords(signs[a] * (xw - r[a]))
-        certificates[part] = (p_mat, q_mat)
+    w_entry = x0 + w @ words
+    certificates = {
+        part: (basis.matrix(r[a]), basis.matrix(pt(w_entry - r[a])))
+        for a, (part, pt) in enumerate(zip(parts, transposes))
+    }
     expr = ObservableExpr.from_coords(n, xw, eps=0.0)
     solution = SdpSolution(
         witness_expr=expr,
@@ -289,14 +410,12 @@ def verify_witness(
     if expr.trace() <= 0:
         raise ValueError("expression must have positive trace")
     n = expr.n
-    d = 2**n
-    big = 4**n
-    basis = pauli.pauli_basis(n)
-    basis_flat = basis.reshape(big, d * d)
-    xw = expr.coords()
+    basis = _entry_basis(n)
+    xw = basis.coords(expr.matrix())
     certificates = {}
     for part in pauli.bipartitions(n):
-        achieved, _, p_mat, q_mat = _max_margin_split(xw, part, n, basis, basis_flat, tol)
+        pt = _partial_transpose(n, part)
+        achieved, _, p_mat, q_mat = _max_margin_split(xw, basis, pt, tol)
         if achieved < -tol.feas:
             return None
         certificates[part] = (p_mat, q_mat)
@@ -317,37 +436,32 @@ def decomposition_margins(
     if expr.trace() <= 0:
         raise ValueError("expression must have positive trace")
     n = expr.n
-    d = 2**n
-    big = 4**n
-    basis = pauli.pauli_basis(n)
-    basis_flat = basis.reshape(big, d * d)
-    xw = expr.coords()
+    basis = _entry_basis(n)
+    xw = basis.coords(expr.matrix())
     return {
-        part: _max_margin_split(xw, part, n, basis, basis_flat, tol)[:2]
+        part: _max_margin_split(xw, basis, _partial_transpose(n, part), tol)[:2]
         for part in pauli.bipartitions(n)
     }
 
 
-def _max_margin_split(xw, part, n, basis, basis_flat, tol):
+def _max_margin_split(xw, basis, pt, tol):
     """Maximize min(eig P, eig Q) over splits W = P + Q^{T_A} of one bipartition.
 
-    Returns (achieved, bound, P, Q): the best margin found, a certified upper
-    bound on the optimal margin (inf when none was established), and the
-    matrices realizing the best margin.
+    ``xw`` holds W's entry coordinates and ``pt`` is T_A. Returns (achieved,
+    bound, P, Q): the best margin found, a certified upper bound on the
+    optimal margin (inf when none was established), and the matrices
+    realizing the best margin.
     """
-    d = 2**n
-    big = 4**n
-    s = pauli.pt_signs(n, part)
-    e0 = np.zeros(big)
-    e0[0] = 1.0
+    d = basis.d
+    e0 = basis.identity
 
     # Trivial splits first: all of W on one side. These settle every case
     # whose binding block is exactly PSD (projector witnesses in particular).
     best_margin = -np.inf
     best_pair = None
-    for rc in (np.zeros(big), xw):
-        p_mat = pauli.from_pauli_coords(rc)
-        q_mat = pauli.from_pauli_coords(s * (xw - rc))
+    for rc in (np.zeros(d * d), xw):
+        p_mat = basis.matrix(rc)
+        q_mat = basis.matrix(pt(xw - rc))
         margin = min(np.linalg.eigvalsh(p_mat)[0], np.linalg.eigvalsh(q_mat)[0])
         if margin > best_margin:
             best_margin, best_pair = margin, (p_mat, q_mat)
@@ -355,8 +469,8 @@ def _max_margin_split(xw, part, n, basis, basis_flat, tol):
             return margin, np.inf, p_mat, q_mat
 
     r = xw / 2.0
-    m_r = pauli.from_pauli_coords(r)
-    m_q = pauli.from_pauli_coords(s * (xw - r))
+    m_r = basis.matrix(r)
+    m_q = basis.matrix(pt(xw - r))
     lam = float(
         min(np.linalg.eigvalsh(m_r)[0], np.linalg.eigvalsh(m_q)[0])
     ) - 1.0
@@ -369,8 +483,8 @@ def _max_margin_split(xw, part, n, basis, basis_flat, tol):
     def phi(tb, lv, rv):
         """Barrier merit for the (maximized) margin program, negated; +inf outside."""
         total = -tb * lv
-        for x in (rv - lv * e0, s * (xw - rv) - lv * e0):
-            ld = _logdet(x, basis_flat, d)
+        for x in (rv - lv * e0, pt(xw - rv) - lv * e0):
+            ld = _logdet(basis, x)
             if ld is None:
                 return np.inf
             total -= ld
@@ -382,19 +496,21 @@ def _max_margin_split(xw, part, n, basis, basis_flat, tol):
         final_stage = nu / t_barrier <= gap_goal
         center_tol = 1e-10 if final_stage else 0.04
         for _ in range(60):
-            if iterations > tol.max_iter:
+            if iterations >= tol.max_iter:
                 raise SolverError("margin solve stalled", last_gap=nu / t_barrier)
-            u_r = r - lam * e0
-            u_q = s * (xw - r) - lam * e0
-            g_r, k_r = _logdet_grad_hess(u_r, basis, basis_flat)
-            g_q, k_q = _logdet_grad_hess(u_q, basis, basis_flat)
+            n_r = _inverse(basis, r - lam * e0)
+            n_q = _inverse(basis, pt(xw - r) - lam * e0)
+            g_r = basis.coords(n_r)
+            g_q = basis.coords(n_q)
+            # The identity direction: K e0 = coords(N^2), e0.K.e0 = Tr(N^2).
+            k_r = basis.coords(n_r @ n_r)
+            k_q = basis.coords(n_q @ n_q)
             # maximize phi = t*lam + logdet(U_r) + logdet(U_q)
-            grad_r = g_r - s * g_q
-            grad_l = t_barrier - g_r[0] - g_q[0]
-            g_mat = (s[:, None] * s[None, :]) * k_q
-            h_rr = k_r + g_mat
-            h_rl = -k_r[:, 0] + g_mat[:, 0]  # du_r/dlam = -e0, du_q/dr = -D, du_q/dlam = -e0
-            h_ll = k_r[0, 0] + k_q[0, 0]
+            grad_r = g_r - pt(g_q)
+            grad_l = t_barrier - g_r[:d].sum() - g_q[:d].sum()
+            h_rr = _curvature(basis, ((n_r, basis.pairs), (n_q, pt.pairs)))
+            h_rl = -k_r + pt(k_q)  # du_r/dlam = -I, du_q/dr = -T_A, du_q/dlam = -I
+            h_ll = k_r[:d].sum() + k_q[:d].sum()
             try:
                 sol = np.linalg.solve(
                     h_rr, np.concatenate([grad_r[:, None], h_rl[:, None]], axis=1)
@@ -439,8 +555,8 @@ def _max_margin_split(xw, part, n, basis, basis_flat, tol):
     # The pair sums to W exactly by construction, so the residual is pure
     # float rounding; the achieved margin is read off the matrices themselves
     # (>= lam, since the barrier keeps both blocks strictly above lam).
-    p_mat = pauli.from_pauli_coords(r)
-    q_mat = pauli.from_pauli_coords(s * (xw - r))
+    p_mat = basis.matrix(r)
+    q_mat = basis.matrix(pt(xw - r))
     achieved = float(
         min(np.linalg.eigvalsh(p_mat)[0], np.linalg.eigvalsh(q_mat)[0])
     )

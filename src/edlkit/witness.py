@@ -124,14 +124,7 @@ def family_covers(family, expr: ObservableExpr) -> bool:
 
 def evaluate(expr: ObservableExpr, rho: np.ndarray) -> float:
     """Expectation value sum_P c_P Tr(P rho)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[0] != 2**expr.n:
-        raise ValueError("dimension mismatch between expression and state")
-    rho_coords = pauli.to_pauli_coords(rho)
-    total = 0.0
-    for word, coeff in expr.terms.items():
-        total += coeff * rho_coords[pauli.word_index(word)]
-    return float(total * 2**expr.n)
+    return _expectation(expr, _state_coords(expr.n, rho))
 
 
 def p_noise(expr: ObservableExpr, rho: np.ndarray) -> float | None:
@@ -140,7 +133,27 @@ def p_noise(expr: ObservableExpr, rho: np.ndarray) -> float | None:
     With t = Tr(W rho) and m = Tr(W)/2^n this is t/(t - m); absent (None)
     when t >= 0, i.e. when the witness does not detect the noiseless state.
     """
-    t = evaluate(expr, rho)
+    return _noise_tolerance(expr, evaluate(expr, rho))
+
+
+def _state_coords(n: int, rho: np.ndarray) -> np.ndarray:
+    """Pauli coordinates of an n-qubit state, for many evaluations against it."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[0] != 2**n:
+        raise ValueError("dimension mismatch between expression and state")
+    return pauli.to_pauli_coords(rho)
+
+
+def _expectation(expr: ObservableExpr, rho_coords: np.ndarray) -> float:
+    """:func:`evaluate` on a state given by its Pauli coordinates."""
+    total = 0.0
+    for word, coeff in expr.terms.items():
+        total += coeff * rho_coords[pauli.word_index(word)]
+    return float(total * 2**expr.n)
+
+
+def _noise_tolerance(expr: ObservableExpr, t: float) -> float | None:
+    """:func:`p_noise` from the expectation value t = Tr(W rho)."""
     if t >= 0.0:
         return None
     m = expr.identity_coeff

@@ -1,0 +1,123 @@
+"""The barrier kernel in the real entry basis, checked against dense Pauli-basis
+formulas: gradient Tr(M^-1 P_p), curvature Tr(M^-1 P_p M^-1 P_q), and the
+partial transpose as a signed permutation of coordinates."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edlkit import pauli, sdp, states
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _random_pd(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return a @ a.conj().T / d + 0.1 * np.eye(d)
+
+
+def _random_hermitian(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return a + a.conj().T
+
+
+def _pauli_to_entry(n):
+    """(d^2, 4^n) matrix whose column p holds the entry coordinates of P_p."""
+    basis = sdp._entry_basis(n)
+    return basis.coords(pauli.pauli_basis(n)).T
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 4))
+def test_gradient_and_curvature_match_pauli_formulas(seed, n):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    m = _random_pd(rng, d)
+    basis = sdp._entry_basis(n)
+    inv = sdp._inverse(basis, basis.coords(m))
+    grad = basis.coords(inv)
+    hess = sdp._curvature(basis, ((inv, basis.pairs),))
+
+    paulis = pauli.pauli_basis(n)
+    minv = np.linalg.inv(m)
+    grad_ref = np.real(np.einsum("ab,pba->p", minv, paulis))
+    t = minv[None] @ paulis  # M^-1 P_p
+    hess_ref = np.real(np.einsum("pab,qba->pq", t, t))
+
+    change = _pauli_to_entry(n)  # Pauli coordinates -> entry coordinates
+    assert _rel_err(change.T @ grad, grad_ref) < 1e-12
+    assert _rel_err(change.T @ hess @ change, hess_ref) < 1e-12
+
+
+def test_pauli_change_of_basis_is_orthogonal_up_to_scale():
+    for n in (1, 2, 3):
+        change = _pauli_to_entry(n)
+        assert np.allclose(change.T @ change, 2**n * np.eye(4**n), atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 4))
+def test_entry_coordinates_round_trip(seed, n):
+    rng = np.random.default_rng(seed)
+    basis = sdp._entry_basis(n)
+    h = _random_hermitian(rng, 2**n)
+    assert _rel_err(basis.matrix(basis.coords(h)), h) < 1e-15  # sqrt(2) scaling rounds
+    x = rng.standard_normal(4**n)
+    assert _rel_err(basis.coords(basis.matrix(x)), x) < 1e-15
+    # orthonormal: the Frobenius inner product is the coordinate dot product
+    g = _random_hermitian(rng, 2**n)
+    assert basis.coords(h) @ basis.coords(g) == pytest.approx(np.real(np.trace(h @ g)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 4))
+def test_partial_transpose_is_a_signed_permutation(seed, n):
+    rng = np.random.default_rng(seed)
+    basis = sdp._entry_basis(n)
+    x = basis.coords(_random_hermitian(rng, 2**n))
+    for part in pauli.bipartitions(n):
+        pt = sdp._partial_transpose(n, part)
+        assert sorted(pt.perm) == list(range(4**n))
+        assert set(np.unique(pt.sign)) <= {-1.0, 1.0}
+        expect = basis.coords(pauli.partial_transpose(basis.matrix(x), sorted(part)))
+        assert np.array_equal(pt(x), expect)
+        assert np.array_equal(pt(pt(x)), x)  # an involution
+
+
+def test_transposed_block_curvature_is_conjugated_by_the_signed_permutation():
+    rng = np.random.default_rng(3)
+    n = 3
+    basis = sdp._entry_basis(n)
+    inv = np.linalg.inv(_random_pd(rng, 2**n))
+    k = sdp._curvature(basis, ((inv, basis.pairs),))
+    for part in pauli.bipartitions(n):
+        pt = sdp._partial_transpose(n, part)
+        t_mat = pt(np.eye(4**n))  # T_A as a matrix; symmetric, as T_A is an involution
+        assert np.array_equal(t_mat, t_mat.T)
+        both = sdp._curvature(basis, ((inv, basis.pairs), (inv, pt.pairs)))
+        assert _rel_err(both, k + t_mat @ k @ t_mat) < 1e-13
+
+
+def test_monomial_form_matches_dense_paulis():
+    for n in (1, 2, 3):
+        cols, phases = pauli.monomial_form(n)
+        d = 2**n
+        for p, word in enumerate(pauli.all_words(n)):
+            mat = np.zeros((d, d), dtype=complex)
+            mat[np.arange(d), cols[p]] = phases[p]
+            assert np.array_equal(mat, pauli.pauli_matrix(word)), word
+
+
+def test_d4_all_pairs_solve_is_deterministic():
+    rho = states.density(states.make_state("D4"))
+    family = sdp.all_k_family(4, 2)
+    a = sdp.synthesize(rho, family)
+    b = sdp.synthesize(rho, family)
+    assert repr(a.alpha) == repr(b.alpha)
+    assert a.solution.iterations == b.solution.iterations
+    assert a.solution.witness_expr.terms == b.solution.witness_expr.terms

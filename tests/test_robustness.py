@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from edlkit import robustness, states
 from edlkit.robustness import MisalignmentSpec, ToleranceCurve, crossover, default_grid, misalign_expr, tolerance_curve, write_curves_csv
-from edlkit.witness import ObservableExpr, evaluate, load_paper_witness, p_noise, projector_witness
+from edlkit.witness import ObservableExpr, evaluate, load_catalog, load_paper_witness, p_noise, projector_witness
 
 D4_RHO = states.density(states.make_state("D4"))
 
@@ -154,3 +155,54 @@ def test_write_curves_csv_grid_mismatch(tmp_path):
     b = tolerance_curve(w, rho, default_grid(stop=0.3, step=0.1))
     with pytest.raises(ValueError):
         write_curves_csv(tmp_path / "x.csv", a, b)
+
+
+def _bisect_reference(w_a, w_b, rho, mode, hi=math.pi / 4, tol=1e-4):
+    """crossover's bracket and bisection, re-evaluating diff(lo) at every step."""
+
+    def diff(theta):
+        spec = MisalignmentSpec(theta, mode)
+        pa = p_noise(misalign_expr(w_a.expr, spec), rho)
+        pb = p_noise(misalign_expr(w_b.expr, spec), rho)
+        return None if pa is None or pb is None else pa - pb
+
+    scan = [hi * k / 32 for k in range(33)]
+    values = list(itertools.takewhile(lambda v: v is not None, map(diff, scan)))
+    i = next(i for i in range(len(values) - 1) if (values[i] < 0) != (values[i + 1] < 0))
+    lo, up = scan[i], scan[i + 1]
+    while up - lo > tol:
+        mid = 0.5 * (lo + up)
+        if (diff(lo) < 0) != (diff(mid) < 0):
+            up = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + up)
+
+
+def test_crossover_misaligns_each_witness_once_per_angle(monkeypatch):
+    w5 = load_paper_witness("D4", 5)
+    proj = projector_witness(states.make_state("D4"), label="projector")
+    expected = _bisect_reference(w5, proj, D4_RHO, "all_axes")
+    seen = []
+    real = robustness.misalign_expr
+    monkeypatch.setattr(
+        robustness, "misalign_expr",
+        lambda expr, spec: seen.append((id(expr), spec.theta)) or real(expr, spec),
+    )
+    theta = crossover(w5, proj, D4_RHO, mode="all_axes")
+    assert theta == expected
+    # 19 scan angles (the last one blind) and 8 bisection midpoints, two
+    # witnesses each; re-evaluating the lower bracket end made it 70 calls
+    assert len(seen) == len(set(seen)) == 54
+
+
+def test_tolerance_curve_matches_per_point_p_noise():
+    grid = default_grid(step=0.05)
+    for w in load_catalog():
+        rho = states.density(states.make_state(w.target_state))
+        for mode in robustness.MODES:
+            curve = tolerance_curve(w, rho, grid, mode)
+            per_point = tuple(
+                p_noise(misalign_expr(w.expr, MisalignmentSpec(t, mode)), rho) for t in grid
+            )
+            assert curve.tolerances == per_point, (w.label, mode)

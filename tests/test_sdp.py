@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from edlkit import pauli, states
+from edlkit import sdp as sdp_module
 from edlkit.sdp import (
     SolverError,
     SolverTolerances,
@@ -182,3 +183,21 @@ def evaluate_projector_alpha():
     # optimum over unrestricted 3-qubit witnesses with trace 1: best possible
     # alpha for W3 under the PPT-mixer relaxation (frozen from a converged run)
     return -0.13597077020796233
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = sdp_module._curvature
+    monkeypatch.setattr(sdp_module, "_curvature", lambda *a: calls.append(1) or kernel(*a))
+    return calls
+
+
+def test_margin_iteration_cap_stops_before_any_newton_step(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    expr = load_paper_witness("D4", 5).expr  # rounded: needs the Newton loop
+    with pytest.raises(SolverError):
+        decomposition_margins(expr, SolverTolerances(max_iter=0))
+    assert len(calls) == 0
+    with pytest.raises(SolverError):
+        synthesize(W3_RHO, PAIRS_12_23, SolverTolerances(max_iter=0))
+    assert len(calls) == 0
