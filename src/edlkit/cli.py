@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import measure, robustness, states, witness as witness_mod
-from .sdp import SolverError, SolverTolerances, edl_scan, synthesize, verify_witness
+from .sdp import SolverError, SolverTolerances, edl_scan, synthesize
 from .witness import Witness, evaluate, p_noise, projector_witness
 
 

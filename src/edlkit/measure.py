@@ -29,16 +29,9 @@ PAULI_AXES = {
     "Z": (0.0, 0.0, 1.0),
 }
 
-_PAULI_VECTOR = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def _axis_matrix(axis) -> np.ndarray:
     ax, ay, az = axis
-    return ax * _PAULI_VECTOR["X"] + ay * _PAULI_VECTOR["Y"] + az * _PAULI_VECTOR["Z"]
+    return ax * pauli.PAULI_1Q["X"] + ay * pauli.PAULI_1Q["Y"] + az * pauli.PAULI_1Q["Z"]
 
 
 @dataclass(frozen=True)

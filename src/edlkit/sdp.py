@@ -19,6 +19,20 @@ coordinates and the logdet curvature has a closed form (the symmetric
 Kronecker product of Alizadeh, Haeberly & Overton, SIAM J. Optim. 8, 1998),
 assembled entrywise in O(16^n) with no 4^n x 4^n matrix product. Newton
 steps are affine invariant, so the basis choice changes only rounding.
+
+Real inputs are solved in the real symmetric subspace. When rho (for
+synthesis) or the witness matrix (for the margin solves) has an exactly
+zero imaginary part, complex conjugation maps the program to itself: it
+commutes with every T_A, keeps the objective and the barrier, and fixes the
+feasible start. The barrier is strictly convex, so the central path and
+every Newton iterate from that start are fixed by it: the sqrt2*Im
+coordinates of every block and the coefficients of the Pauli words with an
+odd number of Y letters are zero throughout (the symmetry reduction of
+Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004, for the group
+{identity, conjugation}). Those coordinates and words are then left out:
+each block has 2^n(2^n+1)/2 real coordinates instead of 4^n, its matrices
+are real, and T_A is a plain permutation. Complex inputs keep the full
+Hermitian basis. The input alone decides; there is no option.
 Deterministic: no randomization anywhere, so identical inputs give identical
 iterates.
 """
@@ -130,42 +144,52 @@ _SQRT2 = np.sqrt(2.0)
 
 
 class _EntryBasis:
-    """Orthonormal real entry basis of the Hermitian 2^n x 2^n matrices.
+    """Orthonormal real entry basis of the Hermitian 2^n x 2^n matrices, or
+    of the real symmetric ones.
 
     Coordinates of M: the diagonal M[i,i], then sqrt2*Re M[i,j] and then
     sqrt2*Im M[i,j] over the strict upper triangle i < j, row-major. The basis
     is orthonormal for <A, B> = Tr(AB), so logdet M(x) has gradient
     coords(N) and curvature Tr(E_k N E_l N), N = M^-1 (see ``_curvature``).
 
+    With ``real`` the sqrt2*Im coordinates are left out: the remaining
+    2^n(2^n+1)/2 span the real symmetric matrices, ``matrix`` returns real
+    blocks and ``coords`` drops any imaginary part. These are the leading
+    coordinates of the Hermitian basis, so every real-basis quantity is the
+    leading diag/Re part of the Hermitian one. The solvers use it when their
+    input is real (see the module docstring).
+
     Each coordinate belongs to one matrix-unit pair (a, b): the diagonal
     coordinates to (i, i), both coordinates of an upper entry to (i, j).
     ``pairs`` holds those flat positions a*d + b, diagonal then upper.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, real: bool = False):
         d = 2**n
         iu, ju = np.triu_indices(d, 1)
-        self.d, self.m = d, iu.size
+        self.d, self.m, self.real = d, iu.size, real
+        self.size = d + iu.size if real else d * d
         self.diag = np.arange(d) * (d + 1)
         self.upper = iu * d + ju
         self.lower = ju * d + iu
         self.pairs = np.concatenate([self.diag, self.upper])
-        self.identity = np.concatenate([np.ones(d), np.zeros(d * d - d)])
+        self.identity = np.concatenate([np.ones(d), np.zeros(self.size - d)])
 
     def coords(self, m: np.ndarray) -> np.ndarray:
         """Entry coordinates of a Hermitian matrix, or of a stack of them."""
         flat = m.reshape(*m.shape[:-2], self.d * self.d)
         up = flat[..., self.upper]
-        return np.concatenate(
-            [flat[..., self.diag].real, _SQRT2 * up.real, _SQRT2 * up.imag], axis=-1
-        )
+        parts = [flat[..., self.diag].real, _SQRT2 * up.real]
+        if not self.real:
+            parts.append(_SQRT2 * up.imag)
+        return np.concatenate(parts, axis=-1)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`coords` for one coordinate vector."""
         d, m = self.d, self.m
-        flat = np.zeros(d * d, dtype=complex)
+        flat = np.zeros(d * d, dtype=float if self.real else complex)
         flat[self.diag] = x[:d]
-        z = (x[d : d + m] + 1j * x[d + m :]) / _SQRT2
+        z = x[d : d + m] / _SQRT2 if self.real else (x[d : d + m] + 1j * x[d + m :]) / _SQRT2
         flat[self.upper] = z
         flat[self.lower] = z.conj()
         return flat.reshape(d, d)
@@ -176,7 +200,9 @@ class _PartialTranspose:
 
     T_A only moves matrix entries, so it permutes the coordinates; an upper
     entry moved below the diagonal is read back conjugated, which flips the
-    sign of its Im coordinate. ``pairs`` is the basis' pairs moved by T_A.
+    sign of its Im coordinate. In the real basis there are no Im coordinates,
+    so every sign is +1 and T_A is a plain permutation. ``pairs`` is the
+    basis' pairs moved by T_A.
     """
 
     def __init__(self, basis: _EntryBasis, part: frozenset[int]):
@@ -193,18 +219,27 @@ class _PartialTranspose:
             im_slot[flat] = d + m + np.arange(m)
             im_sign[flat] = sign
         src_diag, src_up = moved[basis.diag], moved[basis.upper]
-        self.perm = np.concatenate([re_slot[src_diag], re_slot[src_up], im_slot[src_up]])
-        self.sign = np.concatenate([np.ones(d + m), im_sign[src_up]])
+        perm = np.concatenate([re_slot[src_diag], re_slot[src_up], im_slot[src_up]])
+        sign = np.concatenate([np.ones(d + m), im_sign[src_up]])
+        self.perm, self.sign = perm[: basis.size], sign[: basis.size]
         self.pairs = moved[basis.pairs]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.sign * x[..., self.perm]
 
 
-def _inverse(basis: _EntryBasis, x: np.ndarray) -> np.ndarray:
-    """N = M(x)^-1 from the Cholesky factor; LinAlgError unless M(x) is PD."""
-    linv = np.linalg.inv(np.linalg.cholesky(basis.matrix(x)))
-    return linv.conj().T @ linv
+def _chol_logdet(chol: np.ndarray) -> float:
+    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
+
+
+def _inverse(basis: _EntryBasis, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """N = M(x)^-1 and log det M(x) from one Cholesky factor.
+
+    Raises LinAlgError unless M(x) is positive definite.
+    """
+    chol = np.linalg.cholesky(basis.matrix(x))
+    linv = np.linalg.inv(chol)
+    return linv.conj().T @ linv, _chol_logdet(chol)
 
 
 def _logdet(basis: _EntryBasis, x: np.ndarray) -> float | None:
@@ -213,7 +248,7 @@ def _logdet(basis: _EntryBasis, x: np.ndarray) -> float | None:
         chol = np.linalg.cholesky(basis.matrix(x))
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
+    return _chol_logdet(chol)
 
 
 def _curvature(basis: _EntryBasis, blocks) -> np.ndarray:
@@ -224,7 +259,8 @@ def _curvature(basis: _EntryBasis, blocks) -> np.ndarray:
     E_l. Z at a swapped pair (b,a),(d,c) is the conjugate, so the diagonal
     and upper pairs suffice. A block with T_A's pairs gives T_A K T_A, since
     T_A permutes matrix units; K_P + T_A K_Q T_A is one combination of
-    Z_P + Z_Q(moved pairs). O(16^n) work, no matrix product.
+    Z_P + Z_Q(moved pairs). O(16^n) work, no matrix product. In the real
+    basis only the diag/Re blocks are formed, from real N.
     """
     d, m = basis.d, basis.m
     z_pairs = z_swapped = 0.0
@@ -237,29 +273,30 @@ def _curvature(basis: _EntryBasis, blocks) -> np.ndarray:
         z_swapped = z_swapped + rows_b[d:, bu] * inv[au][:, au].T  # at (a, b), (d, c)
     z_dd, z_du, z_ud = z_pairs[:d, :d], z_pairs[:d, d:], z_pairs[d:, :d]
     total = z_pairs[d:, d:] + z_swapped
-    diff = z_swapped - z_pairs[d:, d:]
     re, im = slice(d, d + m), slice(d + m, None)
-    hess = np.empty((d * d, d * d))
+    hess = np.empty((basis.size, basis.size))
     hess[:d, :d] = z_dd.real
     hess[:d, re] = _SQRT2 * z_du.real
-    hess[:d, im] = -_SQRT2 * z_du.imag
     hess[re, :d] = _SQRT2 * z_ud.real
-    hess[im, :d] = -_SQRT2 * z_ud.imag
     hess[re, re] = total.real
-    hess[im, re] = -total.imag
-    hess[re, im] = diff.imag
-    hess[im, im] = diff.real
+    if not basis.real:
+        diff = z_swapped - z_pairs[d:, d:]
+        hess[:d, im] = -_SQRT2 * z_du.imag
+        hess[im, :d] = -_SQRT2 * z_ud.imag
+        hess[im, re] = -total.imag
+        hess[re, im] = diff.imag
+        hess[im, im] = diff.real
     return hess
 
 
-@functools.lru_cache(maxsize=6)
-def _entry_basis(n: int) -> _EntryBasis:
-    return _EntryBasis(n)
+@functools.lru_cache(maxsize=12)
+def _entry_basis(n: int, real: bool = False) -> _EntryBasis:
+    return _EntryBasis(n, real)
 
 
 @functools.lru_cache(maxsize=64)
-def _partial_transpose(n: int, part: frozenset[int]) -> _PartialTranspose:
-    return _PartialTranspose(_entry_basis(n), part)
+def _partial_transpose(n: int, part: frozenset[int], real: bool = False) -> _PartialTranspose:
+    return _PartialTranspose(_entry_basis(n, real), part)
 
 
 def synthesize(
@@ -268,18 +305,24 @@ def synthesize(
     """Solve the synthesis program; negative alpha means the family detects rho."""
     problem = build_problem(rho, family)
     n, d = problem.n, problem.dim
-    basis = _entry_basis(n)
+    # A real rho is solved in the real symmetric subspace, where the words
+    # with an odd number of Y letters (the imaginary ones) have no place.
+    real = not np.any(np.imag(rho))
+    basis = _entry_basis(n, real)
     parts = problem.bipartitions
-    transposes = [_partial_transpose(n, a) for a in parts]
-    free_idx = np.array([pauli.word_index(w) for w in problem.free_words], dtype=int)
+    transposes = [_partial_transpose(n, a, real) for a in parts]
+    kept = [k for k, w in enumerate(problem.free_words) if not real or w.count("Y") % 2 == 0]
+    free_idx = np.array([pauli.word_index(problem.free_words[k]) for k in kept], dtype=int)
     signs = np.stack([pauli.pt_signs(n, a)[free_idx] for a in parts])
-    c = problem.target_vector
+    c = problem.target_vector[kept]
     nfree = len(free_idx)
 
     # Free words as phased permutations, and their entry coordinates: the
     # witness is x_id*I + sum_f w_f P_f, in entry coordinates x0 + w @ words.
     cols, phases = (table[free_idx] for table in pauli.monomial_form(n))
-    word_mats = np.zeros((nfree, d, d), dtype=complex)
+    if real:
+        phases = phases.real  # +-1 for the words with an even number of Y letters
+    word_mats = np.zeros((nfree, d, d), dtype=phases.dtype)
     np.put_along_axis(word_mats, cols[:, :, None], phases[:, :, None], axis=2)
     words = basis.coords(word_mats)
     x0 = problem.identity_coeff * basis.identity
@@ -323,10 +366,13 @@ def synthesize(
             rhs_w = np.zeros(nfree)
             solves = []
             gammas = []
+            base = t_barrier * float(c @ w)  # psi(t, w, r), summed in psi's order
             try:
                 for a, pt in enumerate(transposes):
-                    n_p = _inverse(basis, r[a])
-                    n_q = _inverse(basis, pt(xw - r[a]))
+                    n_p, ld_p = _inverse(basis, r[a])
+                    n_q, ld_q = _inverse(basis, pt(xw - r[a]))
+                    base -= ld_p
+                    base -= ld_q
                     g_q = basis.coords(n_q)
                     gamma = pt(g_q) - basis.coords(n_p)
                     grad_w -= signs[a] * (words @ g_q)
@@ -354,7 +400,6 @@ def synthesize(
             lam2 = -(grad_w @ dw + sum(g @ s for g, s in zip(gammas, dr)))
             if not np.isfinite(lam2) or lam2 < 0:
                 lam2 = 0.0  # curvature lost to roundoff: accept as centered
-            base = psi(t_barrier, w, r)
             # Progress below the float resolution of psi is indistinguishable
             # from noise, so such a point counts as centered too.
             noise = 1e-13 * (1.0 + abs(base))
@@ -407,14 +452,10 @@ def verify_witness(
     decomposition exists iff the optimal margin is nonnegative (up to the
     feasibility tolerance).
     """
-    if expr.trace() <= 0:
-        raise ValueError("expression must have positive trace")
-    n = expr.n
-    basis = _entry_basis(n)
-    xw = basis.coords(expr.matrix())
+    n, basis, xw = _witness_coords(expr)
     certificates = {}
     for part in pauli.bipartitions(n):
-        pt = _partial_transpose(n, part)
+        pt = _partial_transpose(n, part, basis.real)
         achieved, _, p_mat, q_mat = _max_margin_split(xw, basis, pt, tol)
         if achieved < -tol.feas:
             return None
@@ -433,15 +474,20 @@ def decomposition_margins(
     was established). A witness admits PSD certificates exactly when every
     best-found margin clears -tol.feas.
     """
-    if expr.trace() <= 0:
-        raise ValueError("expression must have positive trace")
-    n = expr.n
-    basis = _entry_basis(n)
-    xw = basis.coords(expr.matrix())
+    n, basis, xw = _witness_coords(expr)
     return {
-        part: _max_margin_split(xw, basis, _partial_transpose(n, part), tol)[:2]
+        part: _max_margin_split(xw, basis, _partial_transpose(n, part, basis.real), tol)[:2]
         for part in pauli.bipartitions(n)
     }
+
+
+def _witness_coords(expr: ObservableExpr):
+    """(n, basis, entry coordinates) of a witness; the real basis for a real one."""
+    if expr.trace() <= 0:
+        raise ValueError("expression must have positive trace")
+    w_mat = expr.matrix()
+    basis = _entry_basis(expr.n, not np.any(w_mat.imag))
+    return expr.n, basis, basis.coords(w_mat)
 
 
 def _max_margin_split(xw, basis, pt, tol):
@@ -459,7 +505,7 @@ def _max_margin_split(xw, basis, pt, tol):
     # whose binding block is exactly PSD (projector witnesses in particular).
     best_margin = -np.inf
     best_pair = None
-    for rc in (np.zeros(d * d), xw):
+    for rc in (np.zeros(basis.size), xw):
         p_mat = basis.matrix(rc)
         q_mat = basis.matrix(pt(xw - rc))
         margin = min(np.linalg.eigvalsh(p_mat)[0], np.linalg.eigvalsh(q_mat)[0])
@@ -498,8 +544,11 @@ def _max_margin_split(xw, basis, pt, tol):
         for _ in range(60):
             if iterations >= tol.max_iter:
                 raise SolverError("margin solve stalled", last_gap=nu / t_barrier)
-            n_r = _inverse(basis, r - lam * e0)
-            n_q = _inverse(basis, pt(xw - r) - lam * e0)
+            n_r, ld_r = _inverse(basis, r - lam * e0)
+            n_q, ld_q = _inverse(basis, pt(xw - r) - lam * e0)
+            base = -t_barrier * lam  # phi(t, lam, r), summed in phi's order
+            base -= ld_r
+            base -= ld_q
             g_r = basis.coords(n_r)
             g_q = basis.coords(n_q)
             # The identity direction: K e0 = coords(N^2), e0.K.e0 = Tr(N^2).
@@ -527,7 +576,6 @@ def _max_margin_split(xw, basis, pt, tol):
             lam2 = grad_r @ dr + grad_l * dlam
             if not np.isfinite(lam2) or lam2 < 0:
                 lam2 = 0.0
-            base = phi(t_barrier, lam, r)
             noise = 1e-13 * (1.0 + abs(base))
             if lam2 <= center_tol or 0.25 * lam2 <= noise:
                 break

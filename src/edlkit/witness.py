@@ -75,9 +75,6 @@ class ObservableExpr:
     def matrix(self) -> np.ndarray:
         return pauli.from_pauli_coords(self.coords())
 
-    def map_coeffs(self, fn) -> "ObservableExpr":
-        return ObservableExpr(self.n, {w: fn(c) for w, c in self._terms.items()})
-
     def __add__(self, other: "ObservableExpr") -> "ObservableExpr":
         if not isinstance(other, ObservableExpr) or other.n != self.n:
             return NotImplemented

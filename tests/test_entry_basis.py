@@ -1,6 +1,7 @@
 """The barrier kernel in the real entry basis, checked against dense Pauli-basis
 formulas: gradient Tr(M^-1 P_p), curvature Tr(M^-1 P_p M^-1 P_q), and the
-partial transpose as a signed permutation of coordinates."""
+partial transpose as a signed permutation of coordinates; and the real
+symmetric basis as the leading diag/Re part of the Hermitian one."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,11 @@ SEEDS = st.integers(0, 2**32 - 1)
 def _random_pd(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return a @ a.conj().T / d + 0.1 * np.eye(d)
+
+
+def _random_real_pd(rng, d):
+    a = rng.standard_normal((d, d))
+    return a @ a.T / d + 0.1 * np.eye(d)
 
 
 def _random_hermitian(rng, d):
@@ -39,9 +45,10 @@ def test_gradient_and_curvature_match_pauli_formulas(seed, n):
     d = 2**n
     m = _random_pd(rng, d)
     basis = sdp._entry_basis(n)
-    inv = sdp._inverse(basis, basis.coords(m))
+    inv, logdet = sdp._inverse(basis, basis.coords(m))
     grad = basis.coords(inv)
     hess = sdp._curvature(basis, ((inv, basis.pairs),))
+    assert logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12)
 
     paulis = pauli.pauli_basis(n)
     minv = np.linalg.inv(m)
@@ -121,3 +128,62 @@ def test_d4_all_pairs_solve_is_deterministic():
     assert repr(a.alpha) == repr(b.alpha)
     assert a.solution.iterations == b.solution.iterations
     assert a.solution.witness_expr.terms == b.solution.witness_expr.terms
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 4))
+def test_real_entry_coordinates_round_trip(seed, n):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    real, full = sdp._entry_basis(n, True), sdp._entry_basis(n)
+    assert real.size == d * (d + 1) // 2
+    a = rng.standard_normal((d, d))
+    s = a + a.T
+    x = real.coords(s)
+    assert x.shape == (real.size,)
+    assert np.array_equal(x, full.coords(s)[: real.size])  # the leading diag/Re coordinates
+    back = real.matrix(x)
+    assert back.dtype == np.float64
+    assert _rel_err(back, s) < 1e-15
+    y = rng.standard_normal(real.size)
+    assert _rel_err(real.coords(real.matrix(y)), y) < 1e-15
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 4))
+def test_real_partial_transpose_is_a_permutation(seed, n):
+    rng = np.random.default_rng(seed)
+    basis = sdp._entry_basis(n, True)
+    a = rng.standard_normal((2**n, 2**n))
+    x = basis.coords(a + a.T)
+    for part in pauli.bipartitions(n):
+        pt = sdp._partial_transpose(n, part, True)
+        assert sorted(pt.perm) == list(range(basis.size))
+        assert np.all(pt.sign == 1.0)
+        expect = basis.coords(pauli.partial_transpose(basis.matrix(x), sorted(part)))
+        assert np.array_equal(pt(x), expect)
+        assert np.array_equal(pt(pt(x)), x)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 4))
+def test_real_curvature_is_the_leading_block_of_the_full_one(seed, n):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    real, full = sdp._entry_basis(n, True), sdp._entry_basis(n)
+    inv_p = np.linalg.inv(_random_real_pd(rng, d))
+    inv_q = np.linalg.inv(_random_real_pd(rng, d))
+    for part in pauli.bipartitions(n) if n > 1 else (frozenset({1}),):
+        pairs = sdp._partial_transpose(n, part).pairs
+        assert np.array_equal(pairs, sdp._partial_transpose(n, part, True).pairs)
+        blocks = ((inv_p, full.pairs), (inv_q, pairs))
+        k_full = sdp._curvature(full, blocks)
+        k_real = sdp._curvature(real, blocks)
+        lead = slice(0, real.size)
+        assert k_real.shape == (real.size, real.size)
+        assert _rel_err(k_real, k_full[lead, lead]) < 1e-13
+        # At a real N the Im coordinates decouple from the diag/Re ones: the
+        # Newton step of a real iterate has no Im part, so it is the real step.
+        rest = slice(real.size, None)
+        assert np.max(np.abs(k_full[lead, rest]), initial=0.0) == 0.0
+        assert np.max(np.abs(k_full[rest, lead]), initial=0.0) == 0.0

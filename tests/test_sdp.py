@@ -201,3 +201,48 @@ def test_margin_iteration_cap_stops_before_any_newton_step(monkeypatch):
     with pytest.raises(SolverError):
         synthesize(W3_RHO, PAIRS_12_23, SolverTolerances(max_iter=0))
     assert len(calls) == 0
+
+
+def _phased(name, qubit):
+    """A reference state with the local phase diag(1, i) on one qubit: complex rho."""
+    psi = states.make_state(name)
+    n = psi.size.bit_length() - 1
+    u = pauli.kron_all(np.diag([1, 1j]) if q == qubit else np.eye(2) for q in range(1, n + 1))
+    return states.density(u @ psi)
+
+
+def _odd_y_words(expr):
+    return [w for w in expr.terms if w.count("Y") % 2]
+
+
+def test_complex_state_solves_in_the_full_hermitian_basis():
+    # The real W3 solves in the real symmetric subspace: real certificates
+    # and no word with an odd number of Y letters.
+    real = synthesize(W3_RHO, ALL_PAIRS_3)
+    assert not _odd_y_words(real.solution.witness_expr)
+    for p_mat, q_mat in real.solution.certificates.values():
+        assert not np.iscomplexobj(p_mat) and not np.iscomplexobj(q_mat)
+    # A local unitary preserves alpha, so the phased W3 matches the real one;
+    # its optimal witness is the rotated one, which carries imaginary words.
+    rho = _phased("W3", 1)
+    assert np.any(rho.imag)
+    result = synthesize(rho, ALL_PAIRS_3)
+    assert result.alpha == pytest.approx(real.alpha, abs=1e-12)
+    expr = result.solution.witness_expr
+    assert _odd_y_words(expr)
+    assert evaluate(expr, rho) == pytest.approx(result.alpha, abs=1e-9)
+    w_mat = expr.matrix()
+    for part, (p_mat, q_mat) in result.solution.certificates.items():
+        assert pauli.min_eigenvalue(p_mat) >= -1e-8
+        assert pauli.min_eigenvalue(q_mat) >= -1e-8
+        recon = p_mat + pauli.partial_transpose(q_mat, sorted(part))
+        assert np.max(np.abs(recon - w_mat)) < 1e-7
+    # the margin solver takes the complex witness in the full basis too
+    assert verify_witness(expr) is not None
+
+
+def test_complex_c4_keeps_its_pair_of_triples_optimum():
+    rho = _phased("C4", 2)
+    result = synthesize(rho, [frozenset({1, 2, 3}), frozenset({1, 3, 4})])
+    assert result.alpha == pytest.approx(-1 / 32, abs=1e-6)
+    assert _odd_y_words(result.solution.witness_expr)
