@@ -33,6 +33,25 @@ Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004, for the group
 each block has 2^n(2^n+1)/2 real coordinates instead of 4^n, its matrices
 are real, and T_A is a plain permutation. Complex inputs keep the full
 Hermitian basis. The input alone decides; there is no option.
+
+Qubit permutations are reduced the same way. ``synthesize`` first reads the
+group G of qubit permutations that map the family to itself as a set of
+subsets and leave rho exactly unchanged (entrywise equality of the permuted
+matrix, no tolerance). G permutes the free words and the cuts {A, A^c},
+maps the objective and the barrier to themselves and fixes the start, so
+again every Newton iterate is fixed by G: the witness is constant on each
+word orbit, and the blocks of a cut orbit are the permuted copies of one
+representative's blocks. The program then carries one variable per word
+orbit, whose matrix is the orbit sum S_o (coupled to a cut through
+T_A(S_o)), and one P block per cut orbit, whose logdet terms are weighted
+by the orbit size. Restricted to these variables the barrier, its gradient
+and its Newton step are those of the full program, so in exact arithmetic
+the iterates, decrements and step lengths are the same; only rounding
+differs. The barrier parameter still counts every bipartition. A
+certificate is returned for every canonical bipartition B: P_B = U_g P_A
+U_g^T with g carrying the representative's cut {A, A^c} to {B, B^c}, and
+Q_B = T_B(W - P_B). Asymmetric and complex inputs get a smaller G; the
+trivial group is the full program. Again the input alone decides.
 Deterministic: no randomization anywhere, so identical inputs give identical
 iterates.
 """
@@ -41,7 +60,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -232,23 +251,18 @@ def _chol_logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
 
 
-def _inverse(basis: _EntryBasis, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """N = M(x)^-1 and log det M(x) from one Cholesky factor.
-
-    Raises LinAlgError unless M(x) is positive definite.
-    """
-    chol = np.linalg.cholesky(basis.matrix(x))
-    linv = np.linalg.inv(chol)
-    return linv.conj().T @ linv, _chol_logdet(chol)
-
-
-def _logdet(basis: _EntryBasis, x: np.ndarray) -> float | None:
-    """log det of M(x), or None when M(x) is not positive definite."""
+def _cholesky(basis: _EntryBasis, x: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of M(x), or None when M(x) is not positive definite."""
     try:
-        chol = np.linalg.cholesky(basis.matrix(x))
+        return np.linalg.cholesky(basis.matrix(x))
     except np.linalg.LinAlgError:
         return None
-    return _chol_logdet(chol)
+
+
+def _inverse(chol: np.ndarray) -> tuple[np.ndarray, float]:
+    """N = M^-1 and log det M from the Cholesky factor of M."""
+    linv = np.linalg.inv(chol)
+    return linv.conj().T @ linv, _chol_logdet(chol)
 
 
 def _curvature(basis: _EntryBasis, blocks) -> np.ndarray:
@@ -299,57 +313,148 @@ def _partial_transpose(n: int, part: frozenset[int], real: bool = False) -> _Par
     return _PartialTranspose(_entry_basis(n, real), part)
 
 
+def _qubit_symmetries(rho: np.ndarray, family) -> tuple[tuple[int, ...], ...]:
+    """The qubit permutations that fix the family as a set of subsets and fix
+    rho exactly (no tolerance). g sends qubit q+1 to g[q]+1; identity first."""
+    rho = np.asarray(rho)
+    n = rho.shape[0].bit_length() - 1
+    fam = {frozenset(s) for s in family}
+    group = []
+    for g in permutations(range(n)):
+        if {frozenset(g[q - 1] + 1 for q in s) for s in fam} != fam:
+            continue
+        kets = _ket_permutation(g)
+        if np.array_equal(rho[np.ix_(kets, kets)], rho):
+            group.append(g)
+    return tuple(group)
+
+
+def _ket_permutation(g: tuple[int, ...]) -> np.ndarray:
+    """The basis ket images of the qubit permutation g: U_g|b> = |p[b]>."""
+    n = len(g)
+    kets = np.arange(2**n)
+    image = np.zeros_like(kets)
+    for q, gq in enumerate(g):
+        image |= ((kets >> (n - 1 - q)) & 1) << (n - 1 - gq)
+    return image
+
+
+def _word_orbits(n: int, word_idx: np.ndarray, group) -> np.ndarray:
+    """Orbit label per word under the group, labels in order of first appearance.
+
+    The group must map the set of words to itself."""
+    digits = pauli._letter_digits(n)[word_idx].astype(np.int64)
+    position = np.full(4**n, -1)
+    position[word_idx] = np.arange(word_idx.size)
+    powers = 4 ** np.arange(n - 1, -1, -1)
+    least = np.arange(word_idx.size)
+    for g in group:
+        image = np.empty_like(digits)
+        image[:, list(g)] = digits  # the letter on qubit q moves to qubit g[q]
+        least = np.minimum(least, position[image @ powers])
+    return np.unique(least, return_inverse=True)[1]
+
+
+def _cut_orbits(n: int, parts, group):
+    """Orbits of the cuts {A, A^c} under the group.
+
+    Returns the representatives (indices into ``parts``), each one's orbit
+    size, and for every part B a pair (k, g) where g carries the k-th
+    representative's cut to B's.
+    """
+    everyone = frozenset(range(1, n + 1))
+    origin = {}
+    reps = []
+    for i, part in enumerate(parts):
+        if part in origin:
+            continue
+        reps.append(i)
+        for g in group:
+            image = frozenset(g[q - 1] + 1 for q in part)
+            origin.setdefault(image if 1 in image else everyone - image, (len(reps) - 1, g))
+    sizes = np.bincount([k for k, _ in origin.values()]).astype(float)
+    return reps, sizes, [origin[part] for part in parts]
+
+
 def synthesize(
     rho: np.ndarray, family, tol: SolverTolerances = SolverTolerances()
 ) -> SynthesisResult:
     """Solve the synthesis program; negative alpha means the family detects rho."""
     problem = build_problem(rho, family)
+    real = not np.any(np.imag(rho))
+    return _synthesize(problem, real, _qubit_symmetries(rho, family), tol)
+
+
+def _synthesize(
+    problem: SdpProblem, real: bool, group, tol: SolverTolerances
+) -> SynthesisResult:
+    """The barrier method on the program reduced by a group of qubit
+    permutations that fixes it; the trivial group gives the full program."""
     n, d = problem.n, problem.dim
     # A real rho is solved in the real symmetric subspace, where the words
     # with an odd number of Y letters (the imaginary ones) have no place.
-    real = not np.any(np.imag(rho))
     basis = _entry_basis(n, real)
     parts = problem.bipartitions
-    transposes = [_partial_transpose(n, a, real) for a in parts]
     kept = [k for k, w in enumerate(problem.free_words) if not real or w.count("Y") % 2 == 0]
     free_idx = np.array([pauli.word_index(problem.free_words[k]) for k in kept], dtype=int)
-    signs = np.stack([pauli.pt_signs(n, a)[free_idx] for a in parts])
     c = problem.target_vector[kept]
-    nfree = len(free_idx)
+
+    # One variable v_o per word orbit (w_f = v_o on the orbit) and one P block
+    # per cut orbit, its barrier terms weighted by the orbit size. The words
+    # are taken orbit by orbit, so an orbit sum adds up consecutive rows.
+    orbit = _word_orbits(n, free_idx, group)
+    order = np.argsort(orbit, kind="stable")
+    free_idx, c, orbit = free_idx[order], c[order], orbit[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(orbit) != 0])
+
+    def orbit_sum(x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x, starts, axis=0)
+
+    reps, weights, origin = _cut_orbits(n, parts, group)
+    transposes = [_partial_transpose(n, parts[i], real) for i in reps]
+    signs = np.stack([pauli.pt_signs(n, parts[i])[free_idx] for i in reps])
+    c_orb = orbit_sum(c)
+    norb = c_orb.size
 
     # Free words as phased permutations, and their entry coordinates: the
-    # witness is x_id*I + sum_f w_f P_f, in entry coordinates x0 + w @ words.
+    # witness is x_id*I + sum_o v_o S_o with the orbit sums S_o of the words,
+    # in entry coordinates x0 + v @ sums.
     cols, phases = (table[free_idx] for table in pauli.monomial_form(n))
     if real:
         phases = phases.real  # +-1 for the words with an even number of Y letters
-    word_mats = np.zeros((nfree, d, d), dtype=phases.dtype)
+    word_mats = np.zeros((len(kept), d, d), dtype=phases.dtype)
     np.put_along_axis(word_mats, cols[:, :, None], phases[:, :, None], axis=2)
     words = basis.coords(word_mats)
+    sums = orbit_sum(words)
     x0 = problem.identity_coeff * basis.identity
 
     # Feasible start: W = I/2^n, P_A = Q_A = I/2^(n+1).
-    w = np.zeros(nfree)
-    r = np.tile(0.5 / d * basis.identity, (len(parts), 1))
+    v = np.zeros(norb)
+    r = np.tile(0.5 / d * basis.identity, (len(reps), 1))
 
     nu = 2.0 * d * len(parts)  # total barrier parameter (two cones per bipartition)
     t_barrier = 1.0
     mu = 100.0
     iterations = 0
 
-    def psi(tb: float, wv: np.ndarray, rv: np.ndarray) -> float:
-        """Barrier merit; +inf outside the cone product."""
-        xw = x0 + wv @ words
-        total = tb * float(c @ wv)
+    def psi(tb: float, vv: np.ndarray, rv: np.ndarray):
+        """Barrier merit and the blocks' Cholesky factors; (inf, None) outside
+        the cone product."""
+        xw = x0 + vv @ sums
+        total = tb * float(c_orb @ vv)
+        factors = []
         for a, pt in enumerate(transposes):
             for x in (rv[a], pt(xw - rv[a])):
-                ld = _logdet(basis, x)
-                if ld is None:
-                    return np.inf
-                total -= ld
-        return total
+                chol = _cholesky(basis, x)
+                if chol is None:
+                    return np.inf, None
+                total -= weights[a] * _chol_logdet(chol)
+                factors.append(chol)
+        return total, factors
 
+    factors = psi(t_barrier, v, r)[1]  # of the current point, kept from the line search
     while True:
-        # Newton-center psi_t(w, r) = t*(c.w) - sum_A [logdet P_A + logdet Q_A].
+        # Newton-center psi_t(v, r) = t*(c.w) - sum_A m_A [logdet P_A + logdet Q_A].
         # Intermediate stages only need rough centering to keep the path jumps
         # sound; the final stage is polished so alpha carries the full gap bound.
         final_stage = nu / t_barrier <= tol.gap
@@ -360,44 +465,43 @@ def synthesize(
                     f"no convergence after {tol.max_iter} Newton iterations",
                     last_gap=nu / t_barrier,
                 )
-            xw = x0 + w @ words
-            grad_w = t_barrier * c.copy()
-            schur = np.zeros((nfree, nfree))
-            rhs_w = np.zeros(nfree)
+            grad_v = t_barrier * c_orb.copy()
+            schur = np.zeros((norb, norb))
+            rhs_v = np.zeros(norb)
             solves = []
             gammas = []
-            base = t_barrier * float(c @ w)  # psi(t, w, r), summed in psi's order
+            base = t_barrier * float(c_orb @ v)  # psi(t, v, r), summed in psi's order
             try:
                 for a, pt in enumerate(transposes):
-                    n_p, ld_p = _inverse(basis, r[a])
-                    n_q, ld_q = _inverse(basis, pt(xw - r[a]))
-                    base -= ld_p
-                    base -= ld_q
+                    n_p, ld_p = _inverse(factors[2 * a])
+                    n_q, ld_q = _inverse(factors[2 * a + 1])
+                    base -= weights[a] * ld_p
+                    base -= weights[a] * ld_q
                     g_q = basis.coords(n_q)
                     gamma = pt(g_q) - basis.coords(n_p)
-                    grad_w -= signs[a] * (words @ g_q)
+                    grad_v -= weights[a] * orbit_sum(signs[a] * (words @ g_q))
                     b_mat = _curvature(basis, ((n_p, basis.pairs), (n_q, pt.pairs)))
-                    # Witness coupling T_A K_Q T_A P_f = s_f T_A(N_Q P_f N_Q),
-                    # since T_A(P_f) = s_f P_f.
-                    hvp = basis.coords(n_q @ (phases[:, :, None] * n_q[cols]))
-                    gf = (signs[a][:, None] * pt(hvp)).T
+                    # Witness coupling T_A K_Q T_A S_o = T_A(N_Q T_A(S_o) N_Q),
+                    # with T_A(S_o) the orbit sum of s_f P_f, as T_A(P_f) = s_f P_f.
+                    moved = orbit_sum((signs[a][:, None] * phases)[:, :, None] * n_q[cols])
+                    gf = pt(basis.coords(n_q @ moved)).T
                     sol = np.linalg.solve(
                         b_mat, np.concatenate([gamma[:, None], gf], axis=1)
                     )
-                    # Schur block words.gf - gf'.b^-1.gf, with the cancelling
+                    # Schur block sums.gf - gf'.b^-1.gf, with the cancelling
                     # difference taken before the product with the large gf.
-                    schur += (words - sol[:, 1:].T) @ gf
-                    rhs_w -= gf.T @ sol[:, 0]
+                    schur += weights[a] * ((sums - sol[:, 1:].T) @ gf)
+                    rhs_v -= weights[a] * (gf.T @ sol[:, 0])
                     solves.append(sol)
                     gammas.append(gamma)
-                rhs_w -= grad_w
-                dw = np.linalg.solve(schur, rhs_w)
+                rhs_v -= grad_v
+                dv = np.linalg.solve(schur, rhs_v)
             except np.linalg.LinAlgError:
                 break  # curvature numerically singular: accept current center
             dr = np.stack(
-                [sol[:, 1:] @ dw - sol[:, 0] for sol in solves]
+                [sol[:, 1:] @ dv - sol[:, 0] for sol in solves]
             )
-            lam2 = -(grad_w @ dw + sum(g @ s for g, s in zip(gammas, dr)))
+            lam2 = -(grad_v @ dv + sum(m * (g @ s) for m, g, s in zip(weights, gammas, dr)))
             if not np.isfinite(lam2) or lam2 < 0:
                 lam2 = 0.0  # curvature lost to roundoff: accept as centered
             # Progress below the float resolution of psi is indistinguishable
@@ -407,28 +511,34 @@ def synthesize(
                 break
             step = 1.0
             while step > 1e-12:
-                cand = psi(t_barrier, w + step * dw, r + step * dr)
+                cand, cand_factors = psi(t_barrier, v + step * dv, r + step * dr)
                 if cand <= base - 0.25 * step * lam2 + noise:
                     break
                 step *= 0.5
             if step <= 1e-12:
                 raise SolverError("line search failed", last_gap=nu / t_barrier)
-            w = w + step * dw
+            v = v + step * dv
             r = r + step * dr
+            factors = cand_factors
             iterations += 1
         if final_stage:
             break
         t_barrier = min(mu * t_barrier, 2.0 * nu / tol.gap)
 
+    w = v[orbit]  # every word of an orbit carries its orbit's coefficient
     xw = np.zeros(4**n)  # the witness in Pauli coordinates
     xw[0] = problem.identity_coeff
     xw[free_idx] = w
     alpha = float(c @ w + 1.0 / d)  # constant term: Tr((I/2^n) rho) / 2^n * 2^n
-    w_entry = x0 + w @ words
-    certificates = {
-        part: (basis.matrix(r[a]), basis.matrix(pt(w_entry - r[a])))
-        for a, (part, pt) in enumerate(zip(parts, transposes))
-    }
+    # Certificates of every cut from its representative's: P_B = U_g P_A U_g^T
+    # with g carrying the cut {A, A^c} to {B, B^c}, and Q_B = T_B(W - P_B).
+    w_entry = x0 + v @ sums
+    certificates = {}
+    for part, (k, g) in zip(parts, origin):
+        kets = np.argsort(_ket_permutation(g))
+        p_mat = basis.matrix(r[k])[np.ix_(kets, kets)]
+        pt = _partial_transpose(n, part, real)
+        certificates[part] = (p_mat, basis.matrix(pt(w_entry - basis.coords(p_mat))))
     expr = ObservableExpr.from_coords(n, xw, eps=0.0)
     solution = SdpSolution(
         witness_expr=expr,
@@ -527,15 +637,19 @@ def _max_margin_split(xw, basis, pt, tol):
     mu = 100.0
 
     def phi(tb, lv, rv):
-        """Barrier merit for the (maximized) margin program, negated; +inf outside."""
+        """Barrier merit for the (maximized) margin program, negated, and the
+        blocks' Cholesky factors; (inf, None) outside."""
         total = -tb * lv
+        factors = []
         for x in (rv - lv * e0, pt(xw - rv) - lv * e0):
-            ld = _logdet(basis, x)
-            if ld is None:
-                return np.inf
-            total -= ld
-        return total
+            chol = _cholesky(basis, x)
+            if chol is None:
+                return np.inf, None
+            total -= _chol_logdet(chol)
+            factors.append(chol)
+        return total, factors
 
+    factors = phi(t_barrier, lam, r)[1]  # of the current point, kept from the line search
     iterations = 0
     stalled = False
     while True:
@@ -544,8 +658,8 @@ def _max_margin_split(xw, basis, pt, tol):
         for _ in range(60):
             if iterations >= tol.max_iter:
                 raise SolverError("margin solve stalled", last_gap=nu / t_barrier)
-            n_r, ld_r = _inverse(basis, r - lam * e0)
-            n_q, ld_q = _inverse(basis, pt(xw - r) - lam * e0)
+            n_r, ld_r = _inverse(factors[0])
+            n_q, ld_q = _inverse(factors[1])
             base = -t_barrier * lam  # phi(t, lam, r), summed in phi's order
             base -= ld_r
             base -= ld_q
@@ -581,7 +695,7 @@ def _max_margin_split(xw, basis, pt, tol):
                 break
             step = 1.0
             while step > 1e-12:
-                cand = phi(t_barrier, lam + step * dlam, r + step * dr)
+                cand, cand_factors = phi(t_barrier, lam + step * dlam, r + step * dr)
                 if cand <= base - 0.25 * step * lam2 + noise:
                     break
                 step *= 0.5
@@ -590,6 +704,7 @@ def _max_margin_split(xw, basis, pt, tol):
                 break
             lam += step * dlam
             r = r + step * dr
+            factors = cand_factors
             iterations += 1
         if lam > 0:
             break  # current split already has positive margin

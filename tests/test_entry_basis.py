@@ -45,7 +45,7 @@ def test_gradient_and_curvature_match_pauli_formulas(seed, n):
     d = 2**n
     m = _random_pd(rng, d)
     basis = sdp._entry_basis(n)
-    inv, logdet = sdp._inverse(basis, basis.coords(m))
+    inv, logdet = sdp._inverse(sdp._cholesky(basis, basis.coords(m)))
     grad = basis.coords(inv)
     hess = sdp._curvature(basis, ((inv, basis.pairs),))
     assert logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12)
@@ -122,12 +122,18 @@ def test_monomial_form_matches_dense_paulis():
 
 def test_d4_all_pairs_solve_is_deterministic():
     rho = states.density(states.make_state("D4"))
-    family = sdp.all_k_family(4, 2)
-    a = sdp.synthesize(rho, family)
-    b = sdp.synthesize(rho, family)
-    assert repr(a.alpha) == repr(b.alpha)
-    assert a.solution.iterations == b.solution.iterations
-    assert a.solution.witness_expr.terms == b.solution.witness_expr.terms
+    # all pairs keep every qubit permutation; 12, 23, 234 keeps none
+    asymmetric = (frozenset({1, 2}), frozenset({2, 3}), frozenset({2, 3, 4}))
+    for family, order in ((sdp.all_k_family(4, 2), 24), (asymmetric, 1)):
+        assert len(sdp._qubit_symmetries(rho, family)) == order
+        a = sdp.synthesize(rho, family)
+        b = sdp.synthesize(rho, family)
+        assert repr(a.alpha) == repr(b.alpha)
+        assert a.solution.iterations == b.solution.iterations
+        assert a.solution.witness_expr.terms == b.solution.witness_expr.terms
+        for part, (p_a, q_a) in a.solution.certificates.items():
+            p_b, q_b = b.solution.certificates[part]
+            assert np.array_equal(p_a, p_b) and np.array_equal(q_a, q_b)
 
 
 @settings(max_examples=20, deadline=None)

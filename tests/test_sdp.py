@@ -246,3 +246,85 @@ def test_complex_c4_keeps_its_pair_of_triples_optimum():
     result = synthesize(rho, [frozenset({1, 2, 3}), frozenset({1, 3, 4})])
     assert result.alpha == pytest.approx(-1 / 32, abs=1e-6)
     assert _odd_y_words(result.solution.witness_expr)
+
+
+def _unreduced(rho, family):
+    """The full program: the solver's seam called with the trivial group."""
+    n = rho.shape[0].bit_length() - 1
+    problem = build_problem(rho, family)
+    return sdp_module._synthesize(
+        problem, not np.any(rho.imag), (tuple(range(n)),), SolverTolerances()
+    )
+
+
+def _equivalence_cases():
+    # every synth-table solve (the summary rows and the C4 deviation family)
+    # and every all-k family of the four reference states, each once
+    from test_acceptance import SUMMARY_ROWS
+
+    cases = [(state, frozenset(family)) for state, family, _, _ in SUMMARY_ROWS]
+    cases.append(("C4", frozenset({frozenset({1, 2, 4}), frozenset({1, 3, 4})})))
+    for state in ("W3", "W4", "D4", "C4"):
+        n = 3 if state == "W3" else 4
+        cases += [(state, frozenset(all_k_family(n, k))) for k in range(1, n + 1)]
+    return list(dict.fromkeys(cases))
+
+
+def _case_id(case):
+    state, family = case
+    return state + "-" + ",".join(sorted("".join(map(str, sorted(s))) for s in family))
+
+
+def _permuted_word(word, g):
+    # the letter on qubit q moves to qubit g[q] (0-based)
+    return "".join(word[g.index(j)] for j in range(len(word)))
+
+
+@pytest.mark.parametrize("case", _equivalence_cases(), ids=_case_id)
+def test_symmetry_reduction_matches_the_full_program(case):
+    state, family = case
+    family = sorted(family, key=sorted)
+    rho = states.density(states.make_state(state))
+    n = rho.shape[0].bit_length() - 1
+    reduced = synthesize(rho, family)
+    full = _unreduced(rho, family)
+    assert abs(reduced.alpha - full.alpha) < 1e-10
+    if not (state == "W4" and len(family) == 1):
+        # W4 all-4 ends on a final stage decided by roundoff
+        assert reduced.solution.iterations == full.solution.iterations
+    expr = reduced.solution.witness_expr
+    w_mat = expr.matrix()
+    assert set(reduced.solution.certificates) == set(pauli.bipartitions(n))
+    for part, (p_mat, q_mat) in reduced.solution.certificates.items():
+        assert pauli.min_eigenvalue(p_mat) >= -1e-8
+        assert pauli.min_eigenvalue(q_mat) >= -1e-8
+        recon = p_mat + pauli.partial_transpose(q_mat, sorted(part))
+        assert np.max(np.abs(recon - w_mat)) < 1e-7
+    group = sdp_module._qubit_symmetries(rho, family)
+    for word, coeff in expr.terms.items():
+        for g in group:
+            assert expr.terms.get(_permuted_word(word, g)) == coeff
+
+
+def _random_density(seed, n):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_qubit_symmetries_of_the_input():
+    group = sdp_module._qubit_symmetries
+    d4 = states.density(states.make_state("D4"))
+    c4 = states.density(states.make_state("C4"))
+    assert len(group(W3_RHO, ALL_PAIRS_3)) == 6
+    assert group(W3_RHO, PAIRS_12_23) == ((0, 1, 2), (2, 1, 0))  # the chain's reflection
+    assert len(group(d4, [frozenset({1, q}) for q in (2, 3, 4)])) == 6
+    # the swap (13)(24) fixes the family 123, 134 and the cluster state
+    assert group(c4, [frozenset({1, 2, 3}), frozenset({1, 3, 4})]) == (
+        (0, 1, 2, 3),
+        (2, 3, 0, 1),
+    )
+    # the phase diag(1, i) on qubit 1 leaves only the swap of qubits 2 and 3
+    assert group(_phased("W3", 1), ALL_PAIRS_3) == ((0, 1, 2), (0, 2, 1))
+    assert group(_random_density(11, 3), ALL_PAIRS_3) == ((0, 1, 2),)
