@@ -52,6 +52,15 @@ certificate is returned for every canonical bipartition B: P_B = U_g P_A
 U_g^T with g carrying the representative's cut {A, A^c} to {B, B^c}, and
 Q_B = T_B(W - P_B). Asymmetric and complex inputs get a smaller G; the
 trivial group is the full program. Again the input alone decides.
+
+The margin solves of ``verify_witness`` and ``decomposition_margins`` are
+reduced by the group G of qubit permutations that map every Pauli word's
+coefficient of the witness to an exactly equal one. A permutation carries a
+split W = P_A + Q_A^{T_A} to a split of the image cut with the same margin,
+so one max-margin program is solved per cut orbit and its certificate is
+carried to the rest of the orbit as above; the trivial group solves every
+cut. Here too the input alone decides.
+
 Deterministic: no randomization anywhere, so identical inputs give identical
 iterates.
 """
@@ -331,11 +340,18 @@ def _qubit_symmetries(rho: np.ndarray, family) -> tuple[tuple[int, ...], ...]:
 
 def _ket_permutation(g: tuple[int, ...]) -> np.ndarray:
     """The basis ket images of the qubit permutation g: U_g|b> = |p[b]>."""
+    return _permuted_digits(np.arange(2 ** len(g)), g, 1)
+
+
+def _permuted_digits(index: np.ndarray, g: tuple[int, ...], width: int) -> np.ndarray:
+    """Images under the qubit permutation g of indices with one digit of
+    ``width`` bits per qubit, qubit 1 most significant: kets (width 1) or
+    Pauli words (width 2). The digit of qubit q moves to qubit g[q]."""
     n = len(g)
-    kets = np.arange(2**n)
-    image = np.zeros_like(kets)
+    mask = (1 << width) - 1
+    image = np.zeros_like(index)
     for q, gq in enumerate(g):
-        image |= ((kets >> (n - 1 - q)) & 1) << (n - 1 - gq)
+        image |= ((index >> width * (n - 1 - q)) & mask) << width * (n - 1 - gq)
     return image
 
 
@@ -343,16 +359,27 @@ def _word_orbits(n: int, word_idx: np.ndarray, group) -> np.ndarray:
     """Orbit label per word under the group, labels in order of first appearance.
 
     The group must map the set of words to itself."""
-    digits = pauli._letter_digits(n)[word_idx].astype(np.int64)
     position = np.full(4**n, -1)
     position[word_idx] = np.arange(word_idx.size)
-    powers = 4 ** np.arange(n - 1, -1, -1)
     least = np.arange(word_idx.size)
     for g in group:
-        image = np.empty_like(digits)
-        image[:, list(g)] = digits  # the letter on qubit q moves to qubit g[q]
-        least = np.minimum(least, position[image @ powers])
+        least = np.minimum(least, position[_permuted_digits(word_idx, g, 2)])
     return np.unique(least, return_inverse=True)[1]
+
+
+def _witness_symmetries(expr: ObservableExpr) -> tuple[tuple[int, ...], ...]:
+    """The qubit permutations that map every Pauli word's coefficient of the
+    witness to an exactly equal coefficient (no tolerance); identity first.
+
+    The coefficients decide, not the matrix: its entries are rounded sums
+    that a permutation of the words need not leave exactly equal."""
+    x = expr.coords()
+    words = np.arange(x.size)
+    return tuple(
+        g
+        for g in permutations(range(expr.n))
+        if np.array_equal(x[_permuted_digits(words, g, 2)], x)
+    )
 
 
 def _cut_orbits(n: int, parts, group):
@@ -530,15 +557,11 @@ def _synthesize(
     xw[0] = problem.identity_coeff
     xw[free_idx] = w
     alpha = float(c @ w + 1.0 / d)  # constant term: Tr((I/2^n) rho) / 2^n * 2^n
-    # Certificates of every cut from its representative's: P_B = U_g P_A U_g^T
-    # with g carrying the cut {A, A^c} to {B, B^c}, and Q_B = T_B(W - P_B).
     w_entry = x0 + v @ sums
-    certificates = {}
-    for part, (k, g) in zip(parts, origin):
-        kets = np.argsort(_ket_permutation(g))
-        p_mat = basis.matrix(r[k])[np.ix_(kets, kets)]
-        pt = _partial_transpose(n, part, real)
-        certificates[part] = (p_mat, basis.matrix(pt(w_entry - basis.coords(p_mat))))
+    certificates = {
+        part: _carried_split(basis, w_entry, basis.matrix(r[k]), part, g)
+        for part, (k, g) in zip(parts, origin)
+    }
     expr = ObservableExpr.from_coords(n, xw, eps=0.0)
     solution = SdpSolution(
         witness_expr=expr,
@@ -562,15 +585,10 @@ def verify_witness(
     decomposition exists iff the optimal margin is nonnegative (up to the
     feasibility tolerance).
     """
-    n, basis, xw = _witness_coords(expr)
-    certificates = {}
-    for part in pauli.bipartitions(n):
-        pt = _partial_transpose(n, part, basis.real)
-        achieved, _, p_mat, q_mat = _max_margin_split(xw, basis, pt, tol)
-        if achieved < -tol.feas:
-            return None
-        certificates[part] = (p_mat, q_mat)
-    return certificates
+    splits = _margin_splits(expr, _witness_symmetries(expr), tol, reject_below=-tol.feas)
+    if splits is None:
+        return None
+    return {part: (p_mat, q_mat) for part, (_, _, p_mat, q_mat) in splits.items()}
 
 
 def decomposition_margins(
@@ -584,11 +602,56 @@ def decomposition_margins(
     was established). A witness admits PSD certificates exactly when every
     best-found margin clears -tol.feas.
     """
+    splits = _margin_splits(expr, _witness_symmetries(expr), tol)
+    return {part: (achieved, bound) for part, (achieved, bound, _, _) in splits.items()}
+
+
+def _margin_splits(expr: ObservableExpr, group, tol: SolverTolerances, reject_below=-np.inf):
+    """(achieved, bound, P, Q) for every canonical bipartition, from one margin
+    program per cut orbit of a group of qubit permutations that fixes the
+    witness's coefficients; the trivial group solves every cut. None as soon
+    as a representative's achieved margin falls below ``reject_below``.
+
+    A cut B of an orbit gets the carried split of its representative, its
+    achieved margin read off its own matrices and the representative's bound.
+    """
     n, basis, xw = _witness_coords(expr)
-    return {
-        part: _max_margin_split(xw, basis, _partial_transpose(n, part, basis.real), tol)[:2]
-        for part in pauli.bipartitions(n)
-    }
+    parts = pauli.bipartitions(n)
+    reps, _, origin = _cut_orbits(n, parts, group)
+    solved = []
+    for i in reps:
+        achieved, bound, p_mat = _max_margin_split(
+            xw, basis, _partial_transpose(n, parts[i], basis.real), tol
+        )
+        if achieved < reject_below:
+            return None
+        solved.append((bound, p_mat))
+    splits = {}
+    for part, (k, g) in zip(parts, origin):
+        bound, p_rep = solved[k]
+        p_mat, q_mat = _carried_split(basis, xw, p_rep, part, g)
+        achieved = _split_margin(p_mat, q_mat)
+        splits[part] = (achieved, max(bound, achieved), p_mat, q_mat)
+    return splits
+
+
+def _carried_split(basis, w_entry, p_rep, part, g):
+    """The split of cut B = ``part`` carried from its representative's P_A:
+    P_B = U_g P_A U_g^T, with g carrying the cut {A, A^c} to {B, B^c}, and
+    Q_B = T_B(W - P_B), W given by its entry coordinates. For a W fixed by g,
+    Q_B is U_g Q_A U_g^T, conjugated when g maps A to B^c, so the blocks keep
+    their spectra; taking Q_B from W makes P_B + Q_B^{T_B} = W up to rounding
+    even where W's matrix is not exactly fixed by g."""
+    # (U_g P U_g^T)[i, j] = P[k_i, k_j] with k the kets of the inverse of g
+    kets = _ket_permutation(tuple(g.index(q) for q in range(len(g))))
+    p_mat = p_rep[np.ix_(kets, kets)]
+    pt = _partial_transpose(len(g), part, basis.real)
+    return p_mat, basis.matrix(pt(w_entry - basis.coords(p_mat)))
+
+
+def _split_margin(p_mat: np.ndarray, q_mat: np.ndarray) -> float:
+    """The smallest eigenvalue across both blocks of a split."""
+    return float(min(np.linalg.eigvalsh(p_mat)[0], np.linalg.eigvalsh(q_mat)[0]))
 
 
 def _witness_coords(expr: ObservableExpr):
@@ -604,9 +667,9 @@ def _max_margin_split(xw, basis, pt, tol):
     """Maximize min(eig P, eig Q) over splits W = P + Q^{T_A} of one bipartition.
 
     ``xw`` holds W's entry coordinates and ``pt`` is T_A. Returns (achieved,
-    bound, P, Q): the best margin found, a certified upper bound on the
-    optimal margin (inf when none was established), and the matrices
-    realizing the best margin.
+    bound, P): the best margin found, a certified upper bound on the optimal
+    margin (inf when none was established), and the P block realizing the
+    best margin (Q = T_A(W - P)).
     """
     d = basis.d
     e0 = basis.identity
@@ -614,22 +677,17 @@ def _max_margin_split(xw, basis, pt, tol):
     # Trivial splits first: all of W on one side. These settle every case
     # whose binding block is exactly PSD (projector witnesses in particular).
     best_margin = -np.inf
-    best_pair = None
+    best_p = None
     for rc in (np.zeros(basis.size), xw):
         p_mat = basis.matrix(rc)
-        q_mat = basis.matrix(pt(xw - rc))
-        margin = min(np.linalg.eigvalsh(p_mat)[0], np.linalg.eigvalsh(q_mat)[0])
+        margin = _split_margin(p_mat, basis.matrix(pt(xw - rc)))
         if margin > best_margin:
-            best_margin, best_pair = margin, (p_mat, q_mat)
+            best_margin, best_p = margin, p_mat
         if margin >= -tol.feas:
-            return margin, np.inf, p_mat, q_mat
+            return margin, np.inf, p_mat
 
     r = xw / 2.0
-    m_r = basis.matrix(r)
-    m_q = basis.matrix(pt(xw - r))
-    lam = float(
-        min(np.linalg.eigvalsh(m_r)[0], np.linalg.eigvalsh(m_q)[0])
-    ) - 1.0
+    lam = _split_margin(basis.matrix(r), basis.matrix(pt(xw - r))) - 1.0
 
     nu = 2.0 * d
     gap_goal = min(tol.gap, 0.25 * tol.feas)  # must resolve margins at feas scale
@@ -719,15 +777,11 @@ def _max_margin_split(xw, basis, pt, tol):
     # float rounding; the achieved margin is read off the matrices themselves
     # (>= lam, since the barrier keeps both blocks strictly above lam).
     p_mat = basis.matrix(r)
-    q_mat = basis.matrix(pt(xw - r))
-    achieved = float(
-        min(np.linalg.eigvalsh(p_mat)[0], np.linalg.eigvalsh(q_mat)[0])
-    )
+    achieved = _split_margin(p_mat, basis.matrix(pt(xw - r)))
     if achieved < best_margin:
-        achieved = best_margin
-        p_mat, q_mat = best_pair
+        achieved, p_mat = best_margin, best_p
     bound = lam + 1.1 * nu / t_barrier if not stalled else np.inf
-    return achieved, max(bound, achieved), p_mat, q_mat
+    return achieved, max(bound, achieved), p_mat
 
 
 def edl_search(rho: np.ndarray, tol: SolverTolerances = SolverTolerances()) -> int:

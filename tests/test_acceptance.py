@@ -82,9 +82,11 @@ def test_criterion_1_sdp_regression(acceptance):
     worst_alpha = worst_noise = 0.0
     slowest = 0.0
     for state, family, alpha_ref, p_ref in SUMMARY_ROWS:
-        start = time.perf_counter()
+        # CPU time of this process (all its threads), which time taken by
+        # other processes on a loaded host does not inflate
+        start = time.process_time()
         result = synthesize(_rho(state), family)
-        slowest = max(slowest, time.perf_counter() - start)
+        slowest = max(slowest, time.process_time() - start)
         worst_alpha = max(worst_alpha, abs(result.alpha - alpha_ref))
         worst_noise = max(worst_noise, abs(result.p_noise - p_ref))
         assert result.alpha == pytest.approx(alpha_ref, abs=1e-3), (state, family)
@@ -104,7 +106,7 @@ def test_criterion_1_sdp_regression(acceptance):
         "SDP summary-table regression",
         True,
         f"15/16 rows within 1e-3 (worst {worst_alpha:.1e}, p_noise {worst_noise:.1e}, "
-        f"slowest solve {slowest:.2f}s); C4 S3[1] row documented deviation: "
+        f"slowest solve {slowest:.2f} CPU s); C4 S3[1] row documented deviation: "
         f"family optimum is -0.03125, printed -0.0156 is the hand-crafted witness",
     )
 

@@ -1,6 +1,8 @@
 """Solver checks kept to 3-qubit programs where possible; the 4-qubit
 regressions against every published table row live in test_acceptance."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -328,3 +330,71 @@ def test_qubit_symmetries_of_the_input():
     # the phase diag(1, i) on qubit 1 leaves only the swap of qubits 2 and 3
     assert group(_phased("W3", 1), ALL_PAIRS_3) == ((0, 1, 2), (0, 2, 1))
     assert group(_random_density(11, 3), ALL_PAIRS_3) == ((0, 1, 2),)
+
+
+def _normalized_projector(state):
+    expr = projector_witness(states.make_state(state)).expr
+    return (1.0 / expr.trace()) * expr
+
+
+def test_witness_symmetries_read_the_coefficients():
+    group = sdp_module._witness_symmetries
+    assert len(group(load_paper_witness("W3", 2).expr)) == 6
+    d4_5 = group(load_paper_witness("D4", 5).expr)
+    assert len(d4_5) == 24
+    # its 7 cuts fall into two orbits: one margin program per cut size
+    assert len(sdp_module._cut_orbits(4, pauli.bipartitions(4), d4_5)[0]) == 2
+    assert len(group(load_paper_witness("W4", 1).expr)) == 2
+    assert group(load_paper_witness("C4", 1).expr) == ((0, 1, 2, 3),)
+    assert len(group(_normalized_projector("D4"))) == 24
+    # W3-2's matrix is rounded asymmetrically: most of the permutations that
+    # fix its coefficients do not fix its entries exactly
+    w_mat = load_paper_witness("W3", 2).expr.matrix()
+    fixing = [g for g in permutations(range(3)) if _fixes(g, w_mat)]
+    assert len(fixing) < 6
+
+
+def _fixes(g, mat):
+    kets = sdp_module._ket_permutation(g)
+    return np.array_equal(mat[np.ix_(kets, kets)], mat)
+
+
+def _margin_witnesses():
+    from edlkit.witness import load_catalog
+
+    cases = [pytest.param(w.expr, id=w.label) for w in load_catalog()]
+    for s in ("W3", "W4", "D4", "C4"):
+        cases.append(pytest.param(_normalized_projector(s), id=f"{s}-projector"))
+    return cases
+
+
+@pytest.mark.parametrize("expr", _margin_witnesses())
+def test_margin_reduction_matches_the_full_program(expr):
+    tol = SolverTolerances()
+    n = expr.n
+    reduced = sdp_module._margin_splits(expr, sdp_module._witness_symmetries(expr), tol)
+    full = sdp_module._margin_splits(expr, (tuple(range(n)),), tol)
+    assert set(reduced) == set(full) == set(pauli.bipartitions(n))
+    w_mat = expr.matrix()
+    for part, (achieved, bound, p_mat, q_mat) in reduced.items():
+        full_achieved, full_bound = full[part][:2]
+        assert abs(achieved - full_achieved) < 1e-12, sorted(part)
+        assert np.isfinite(bound) == np.isfinite(full_bound)
+        if np.isfinite(bound):
+            assert abs(bound - full_bound) < 1e-12, sorted(part)
+        assert achieved <= bound
+        recon = p_mat + pauli.partial_transpose(q_mat, sorted(part))
+        assert np.max(np.abs(recon - w_mat)) < 1e-7
+    # the verdict the full program gives: every cut clears the tolerance
+    certs = verify_witness(expr)
+    assert (certs is None) == any(a < -tol.feas for a, _, _, _ in full.values())
+    for part, (p_mat, q_mat) in (certs or {}).items():
+        assert pauli.min_eigenvalue(p_mat) >= -1e-8
+        assert pauli.min_eigenvalue(q_mat) >= -1e-8
+        recon = p_mat + pauli.partial_transpose(q_mat, sorted(part))
+        assert np.max(np.abs(recon - w_mat)) < 1e-7
+
+
+def test_decomposition_margins_is_deterministic():
+    expr = load_paper_witness("W3", 1).expr  # rounded: needs the Newton loop
+    assert decomposition_margins(expr) == decomposition_margins(expr)
