@@ -256,20 +256,18 @@ def outcome_probabilities(rho: np.ndarray, setting: MeasurementSetting) -> np.nd
     if rho.shape != (2**n, 2**n):
         raise ValueError("state dimension does not match the setting")
     eye = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    projectors = []
+    maps = []  # M_q[s, (a, b)] = Π_s[b, a]: Tr(ρ Π) over qubit q's interleaved (a, b)
     for axis in setting.axes:
         if axis is None:
-            projectors.append((eye, zero))
+            plus, minus = eye, np.zeros((2, 2), dtype=complex)
         else:
             obs = _axis_matrix(axis)
-            projectors.append(((eye + obs) / 2, (eye - obs) / 2))
-    probs = np.empty(2**n)
-    for idx in range(2**n):
-        factors = [
-            projectors[q][(idx >> (n - 1 - q)) & 1] for q in range(n)
-        ]
-        probs[idx] = np.trace(rho @ pauli.kron_all(factors)).real
+            plus, minus = (eye + obs) / 2, (eye - obs) / 2
+        maps.append(np.stack([plus.T.reshape(4), minus.T.reshape(4)]))
+    # interleave ρ's row and column index per qubit: a1 b1 a2 b2 ... an bn
+    order = [axis for q in range(n) for axis in (q, n + q)]
+    interleaved = rho.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
+    probs = pauli.local_map(interleaved, maps).real
     if (probs < -1e-12).any():
         raise ValueError("negative outcome probability beyond tolerance")
     probs = np.clip(probs, 0.0, None)
@@ -314,7 +312,9 @@ def estimate_expectations(tables, operators) -> list[ExpectationRecord]:
         table = next((t for t in tables if t.setting.covers(op)), None)
         if table is None:
             raise ValueError(f"no table's setting covers operator {op.text!r}")
-        signs = np.array([op.outcome_sign(i) for i in range(len(table.counts))])
+        mask = sum(1 << (op.n - 1 - q) for q, axis in enumerate(op.axes) if axis is not None)
+        parity = np.bitwise_count(np.arange(len(table.counts)) & mask) & 1
+        signs = 1 - 2 * parity.astype(np.int64)
         value = float(signs @ table.counts) / table.shots
         variance = max(0.0, (1.0 - value * value) / table.shots)
         records.append(
@@ -357,10 +357,15 @@ def combine_plan(records, plan: "FidelityPlan") -> tuple[float, float]:
     """Fidelity estimate from a plan's record-basis combination."""
     value = plan.constant
     variance = 0.0
+    # records over another qubit count never match; the rest as one coordinate table
+    records = [r for r in records if r.operator.n == plan.n]
+    table = np.array([r.operator.coords() for r in records]).reshape(len(records), 4**plan.n)
     for coeff, text in plan.record_combo:
-        op = parse_operator(text, plan.n)
-        target = op.expr()
-        matches = [r for r in records if r.operator.isclose(target, tol=1e-10)]
+        target = parse_operator(text, plan.n).expr().coords()
+        # a match agrees within 1e-10 on every coordinate, so on the largest first
+        j = int(np.argmax(np.abs(target)))
+        candidates = np.flatnonzero(np.abs(table[:, j] - target[j]) <= 1e-10)
+        matches = [records[i] for i in candidates if np.all(np.abs(table[i] - target) <= 1e-10)]
         if len(matches) != 1:
             raise ValueError(
                 f"operator {text!r} matched {len(matches)} records, expected exactly 1"

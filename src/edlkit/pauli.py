@@ -8,6 +8,10 @@ Conventions used throughout the package:
 * Pauli words are plain strings over the alphabet ``IXYZ`` (e.g. ``"XXII"``).
 * Qubit subsets are collections of 1-based indices.
 
+:func:`local_map` applies one small matrix per qubit, mode by mode, without
+forming the Kronecker product; misalignment sweeps and outcome probabilities
+run through it.
+
 Everything here is a pure function over immutable inputs; results may be
 cached module-level but are never mutated.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from collections.abc import Iterable
 
@@ -50,6 +55,32 @@ def pauli_matrix(word: str) -> np.ndarray:
     """Dense 2^n x 2^n matrix of an n-letter Pauli word such as ``"XZI"``."""
     check_word(word)
     return kron_all(PAULI_1Q[c] for c in word)
+
+
+def local_map(x: np.ndarray, maps) -> np.ndarray:
+    """(maps[0] ⊗ maps[1] ⊗ ...) applied to the last axis of x, one mode at a time.
+
+    Qubit 1 is the most significant mode. Each map is (out, in), or a batch
+    (T, out, in) whose k-th matrix acts on row k of x's leading axis (a 1-D
+    x is broadcast to all T rows). Costs O(n · size · out) per vector.
+    """
+    x = np.asarray(x)
+    maps = [np.asarray(m) for m in maps]
+    rest = math.prod(m.shape[-1] for m in maps)
+    if x.shape[-1] != rest:
+        raise ValueError(f"last axis of length {x.shape[-1]} does not match the maps' inputs")
+    lead = x.shape[:-1]
+    t = x
+    done = 1  # output size of the modes already mapped
+    for m in maps:
+        rest //= m.shape[-1]
+        t = t.reshape(lead + (done, m.shape[-1], rest))
+        if m.ndim == 3:
+            m = m.reshape((m.shape[0],) + (1,) * max(len(lead), 1) + m.shape[1:])
+        t = m @ t
+        lead = t.shape[:-3]
+        done *= m.shape[-2]
+    return t.reshape(lead + (-1,))
 
 
 @functools.lru_cache(maxsize=8)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edlkit import measure, states
+from edlkit import measure, pauli, states
 from edlkit.measure import (
     CountTable,
     ExpectationRecord,
@@ -158,6 +160,52 @@ def test_outcome_probabilities_dimension_check():
         outcome_probabilities(np.eye(4) / 4, MeasurementSetting.from_word("Z"))
 
 
+def _kronecker_probabilities(rho, setting):
+    """Reference: Tr(rho P_s) with P_s the Kronecker product of one projector per qubit."""
+    n = setting.n
+    eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    projectors = []
+    for axis in setting.axes:
+        if axis is None:
+            projectors.append((eye, zero))
+        else:
+            obs = sum(a * pauli.PAULI_1Q[c] for a, c in zip(axis, "XYZ"))
+            projectors.append(((eye + obs) / 2, (eye - obs) / 2))
+    return np.array([
+        np.trace(rho @ pauli.kron_all(
+            projectors[q][(idx >> (n - 1 - q)) & 1] for q in range(n)
+        )).real
+        for idx in range(2**n)
+    ])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_outcome_probabilities_match_kronecker_trace(seed, n):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    axes = []
+    for _ in range(n):
+        v = rng.standard_normal(3)
+        axes.append(None if rng.random() < 0.3 else tuple(v / np.linalg.norm(v)))
+    setting = MeasurementSetting(n, tuple(axes))
+    want = _kronecker_probabilities(rho, setting)
+    assert np.max(np.abs(outcome_probabilities(rho, setting) - want / want.sum())) <= 1e-14
+
+
+def test_outcome_probabilities_validation_errors():
+    setting = MeasurementSetting.from_word("ZZ")
+    with pytest.raises(ValueError, match="dimension"):
+        outcome_probabilities(np.eye(2) / 2, setting)
+    with pytest.raises(ValueError, match="negative outcome probability"):
+        outcome_probabilities(np.diag([1.5, -0.5, 0.0, 0.0]), setting)
+    with pytest.raises(ValueError, match="sum to"):
+        outcome_probabilities(np.eye(4) / 2, setting)
+
+
 def test_sample_counts_deterministic():
     rho = states.density(states.make_state("W3"))
     s = MeasurementSetting.from_word("ZZZ")
@@ -213,6 +261,17 @@ def test_estimate_sigma_is_binomial():
     tables = simulate_counts(rho, [MeasurementSetting.from_word("ZZZ")], 10_000, seed=1)
     (rec,) = estimate_expectations(tables, [parse_operator("Z1", 3)])
     assert rec.sigma == pytest.approx(math.sqrt((1 - rec.value**2) / 10_000), abs=1e-15)
+
+
+def test_estimate_signs_agree_with_outcome_sign():
+    rho = states.white_noise(states.density(states.make_state("D4")), 0.2)
+    tables = simulate_counts(rho, [MeasurementSetting.from_word("ZZZZ")], 5000, seed=3)
+    ops = [parse_operator(t, 4) for t in ("Z1", "Z2Z4", "Z1Z3Z4", "ZZZZ")]
+    for rec, op in zip(estimate_expectations(tables, ops), ops):
+        signs = np.array([op.outcome_sign(i) for i in range(16)])
+        value = float(signs @ tables[0].counts) / tables[0].shots
+        assert rec.value == value
+        assert rec.sigma == math.sqrt(max(0.0, (1.0 - value * value) / tables[0].shots))
 
 
 def test_estimate_requires_covering_table():
@@ -307,6 +366,60 @@ def test_combine_plan_needs_exactly_one_match():
     plan = fidelity_settings("W3")
     with pytest.raises(ValueError):
         combine_plan([], plan)
+
+
+def _combine_plan_by_scan(records, plan):
+    """Reference: every combo operator matched by scanning all records with isclose."""
+    value, variance = plan.constant, 0.0
+    for coeff, text in plan.record_combo:
+        target = parse_operator(text, plan.n).expr()
+        matches = [r for r in records if r.operator.isclose(target, tol=1e-10)]
+        if len(matches) != 1:
+            raise ValueError(
+                f"operator {text!r} matched {len(matches)} records, expected exactly 1"
+            )
+        value += coeff * matches[0].value
+        variance += (coeff * matches[0].sigma) ** 2
+    return value, math.sqrt(variance)
+
+
+@pytest.mark.parametrize("state", ["W3", "W4", "D4", "C4"])
+def test_combine_plan_matches_isclose_scan(state):
+    plan = fidelity_settings(state)
+    rng = np.random.default_rng(7)
+    records = [
+        ExpectationRecord(parse_operator(text, plan.n).expr(), float(v), float(s))
+        for (_, text), v, s in zip(
+            plan.record_combo,
+            rng.uniform(-1, 1, len(plan.record_combo)),
+            rng.uniform(0, 0.1, len(plan.record_combo)),
+        )
+    ]
+    first = records[0].operator.terms
+
+    def moved(delta, value):
+        return ExpectationRecord(
+            ObservableExpr(plan.n, {w: c + delta for w, c in first.items()}), value, 0.0
+        )
+
+    # decoys that match nothing: an unrelated operator, and the first one moved
+    # by 1e-9, outside the 1e-10 tolerance
+    records.append(ExpectationRecord(ObservableExpr(plan.n, {"X" * plan.n: 0.5}), 0.1, 0.0))
+    records.append(moved(1e-9, 0.2))
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    assert combine_plan(shuffled, plan) == _combine_plan_by_scan(shuffled, plan)
+
+    duplicate = shuffled + [moved(5e-11, 0.3)]  # inside the tolerance: a second match
+    with pytest.raises(ValueError, match="matched 2 records, expected exactly 1"):
+        combine_plan(duplicate, plan)
+    with pytest.raises(ValueError, match="matched 2 records, expected exactly 1"):
+        _combine_plan_by_scan(duplicate, plan)
+
+    missing = [r for r in shuffled if r is not records[0]]
+    with pytest.raises(ValueError, match="matched 0 records, expected exactly 1"):
+        combine_plan(missing, plan)
+    with pytest.raises(ValueError, match="matched 0 records, expected exactly 1"):
+        _combine_plan_by_scan(missing, plan)
 
 
 # --- file round-trips --------------------------------------------------------

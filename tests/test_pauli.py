@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edlkit import pauli
 
@@ -161,3 +163,40 @@ def test_hermitian_eigen_reconstructs():
 def test_kron_all_empty_and_single():
     assert np.array_equal(pauli.kron_all([]), np.eye(1))
     assert np.array_equal(pauli.kron_all([X]), X)
+
+
+def _random_maps(rng, n, rectangular, batch):
+    """n per-qubit maps: 4x4 or 2x4, some of them batched over `batch` rows."""
+    maps = []
+    for _ in range(n):
+        shape = (2, 4) if rectangular and rng.random() < 0.5 else (4, 4)
+        if batch and rng.random() < 0.5:
+            shape = (batch,) + shape
+        maps.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return maps
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    rectangular=st.booleans(),
+    batch=st.sampled_from([0, 1, 3]),
+    broadcast=st.booleans(),
+)
+def test_local_map_equals_kronecker_product(seed, n, rectangular, batch, broadcast):
+    rng = np.random.default_rng(seed)
+    maps = _random_maps(rng, n, rectangular, batch)
+    rows = batch or 2
+    x = rng.standard_normal(4**n) if broadcast else rng.standard_normal((rows, 4**n))
+    got = pauli.local_map(x, maps)
+    for k in range(rows if batch or not broadcast else 1):
+        full = pauli.kron_all(m[k] if m.ndim == 3 else m for m in maps)
+        want = full @ (x if broadcast else x[k])
+        row = got if got.ndim == 1 else got[k]
+        assert np.max(np.abs(row - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_local_map_rejects_mismatched_length():
+    with pytest.raises(ValueError):
+        pauli.local_map(np.ones(8), [np.eye(4), np.eye(4)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edlkit import robustness, states
+from edlkit.pauli import PAULI_1Q
 from edlkit.robustness import MisalignmentSpec, ToleranceCurve, crossover, default_grid, misalign_expr, tolerance_curve, write_curves_csv
 from edlkit.witness import ObservableExpr, evaluate, load_catalog, load_paper_witness, p_noise, projector_witness
 
@@ -205,4 +206,40 @@ def test_tolerance_curve_matches_per_point_p_noise():
             per_point = tuple(
                 p_noise(misalign_expr(w.expr, MisalignmentSpec(t, mode)), rho) for t in grid
             )
-            assert curve.tolerances == per_point, (w.label, mode)
+            # the curve contracts in another order than the expanded sum: same
+            # absent points, values equal to rounding
+            assert [p is None for p in curve.tolerances] == [p is None for p in per_point]
+            for got, want in zip(curve.tolerances, per_point):
+                if want is not None:
+                    assert abs(got - want) <= 1e-13, (w.label, mode)
+
+
+def _tilted_letter(letter, theta, mode):
+    """One-qubit matrix of a misaligned letter, written out from the rules."""
+    c, s = math.cos(theta), math.sin(theta)
+    nxt = {"X": "Y", "Y": "Z", "Z": "X"}
+    if letter == "I" or (mode == "y_only" and letter != "Y"):
+        return PAULI_1Q[letter]
+    return c * PAULI_1Q[letter] + s * PAULI_1Q[nxt[letter]]
+
+
+def test_tolerance_curve_matches_dense_tilted_witness():
+    grid = default_grid(step=0.05)
+    for w in load_catalog():
+        rho = states.density(states.make_state(w.target_state))
+        d = 2**w.expr.n
+        for mode in robustness.MODES:
+            curve = tolerance_curve(w, rho, grid, mode)
+            for theta, got in zip(grid, curve.tolerances):
+                tilted = np.zeros((d, d), dtype=complex)
+                for word, coeff in w.expr.terms.items():
+                    factor = np.eye(1)
+                    for letter in word:
+                        factor = np.kron(factor, _tilted_letter(letter, theta, mode))
+                    tilted += coeff * factor
+                t = np.trace(tilted @ rho).real
+                m = np.trace(tilted).real / d
+                if t >= 0:
+                    assert got is None, (w.label, mode, theta)
+                else:
+                    assert abs(got - t / (t - m)) <= 1e-12, (w.label, mode, theta)
