@@ -29,7 +29,8 @@ def main():
         curve_b = robustness.tolerance_curve(projector, rho, grid, mode)
         theta = robustness.crossover(pair_witness, projector, rho, mode)
         out = HERE / f"tolerance_{mode}.csv"
-        robustness.write_curves_csv(out, curve_a, curve_b)
+        with open(out, "w", newline="") as fh:
+            robustness.write_curves_csv(fh, curve_a, curve_b)
         print(f"{mode:9s}: crossover at theta = {theta:.4f} rad -> {out.name}")
 
         # a snapshot on either side of the crossing

@@ -301,12 +301,12 @@ def cmd_robustness(args) -> int:
         summary["crossover"] = robustness.crossover(w_a, w_b, rho, mode)
     except ValueError as exc:
         summary["note"] = str(exc)
+    with _open_out(args.out) as fh:
+        robustness.write_curves_csv(fh, curve_a, curve_b)
     if args.out is not None:
-        robustness.write_curves_csv(args.out, curve_a, curve_b)
         json.dump(summary, sys.stdout, indent=1)
         sys.stdout.write("\n")
     else:
-        robustness.write_curves_csv(sys.stdout, curve_a, curve_b)
         _say(json.dumps(summary))
     _say(f"crossover={_g(summary['crossover'])} mode={mode}")
     return 0

@@ -9,7 +9,6 @@ errors combined in quadrature across settings.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
@@ -282,6 +281,9 @@ def sample_counts(rho: np.ndarray, setting: MeasurementSetting, shots: int, seed
     if shots < 1:
         raise ValueError("shots must be at least 1")
     probs = outcome_probabilities(rho, setting)
+    # multinomial draws no variate for an exactly-zero outcome, so roundoff-level
+    # probabilities are made exact zeros: the draw must not hinge on the last bit
+    probs[probs <= 1e-12] = 0.0
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
     return CountTable(setting=setting, counts=counts, shots=shots)
@@ -512,19 +514,14 @@ def read_expectation_csv(path, n: int) -> list[ExpectationRecord]:
     return records
 
 
-def write_expectation_csv(path, records) -> None:
-    ctx = (
-        contextlib.nullcontext(path)
-        if hasattr(path, "write")
-        else open(path, "w", newline="")
-    )
-    with ctx as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["operator", "value", "sigma"])
-        for rec in records:
-            if rec.product is None:
-                raise ValueError("record has no product text to serialize")
-            writer.writerow([rec.product.text, repr(rec.value), repr(rec.sigma)])
+def write_expectation_csv(fh, records) -> None:
+    """Records as CSV rows operator,value,sigma, written to the open text stream ``fh``."""
+    writer = csv.writer(fh)
+    writer.writerow(["operator", "value", "sigma"])
+    for rec in records:
+        if rec.product is None:
+            raise ValueError("record has no product text to serialize")
+        writer.writerow([rec.product.text, repr(rec.value), repr(rec.sigma)])
 
 
 def write_count_files(directory, tables, seed: int, prefix: str = "setting") -> dict:

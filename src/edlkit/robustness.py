@@ -12,7 +12,6 @@ for the Pauli coordinates w and r of witness and state (:func:`pauli.local_map`)
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import warnings
@@ -192,21 +191,16 @@ def crossover(
     return 0.5 * (lo + up)
 
 
-def write_curves_csv(path, curve_a: ToleranceCurve, curve_b: ToleranceCurve) -> None:
-    """Two-curve sweep as CSV rows theta,tolerance_a,tolerance_b ('' = absent)."""
+def write_curves_csv(fh, curve_a: ToleranceCurve, curve_b: ToleranceCurve) -> None:
+    """Two-curve sweep as CSV rows theta,tolerance_a,tolerance_b ('' = absent),
+    written to the open text stream ``fh``."""
     if curve_a.thetas != curve_b.thetas:
         raise ValueError("curves must share one theta grid")
-    ctx = (
-        contextlib.nullcontext(path)
-        if hasattr(path, "write")
-        else open(path, "w", newline="")
-    )
-    with ctx as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "tolerance_a", "tolerance_b"])
-        for theta, ta, tb in zip(curve_a.thetas, curve_a.tolerances, curve_b.tolerances):
-            writer.writerow([
-                f"{theta:.6g}",
-                "" if ta is None else repr(ta),
-                "" if tb is None else repr(tb),
-            ])
+    writer = csv.writer(fh)
+    writer.writerow(["theta", "tolerance_a", "tolerance_b"])
+    for theta, ta, tb in zip(curve_a.thetas, curve_a.tolerances, curve_b.tolerances):
+        writer.writerow([
+            f"{theta:.6g}",
+            "" if ta is None else repr(ta),
+            "" if tb is None else repr(tb),
+        ])

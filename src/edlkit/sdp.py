@@ -20,6 +20,16 @@ Kronecker product of Alizadeh, Haeberly & Overton, SIAM J. Optim. 8, 1998),
 assembled entrywise in O(16^n) with no 4^n x 4^n matrix product. Newton
 steps are affine invariant, so the basis choice changes only rounding.
 
+Both programs follow one path policy, written once: the stage schedule
+``_stages`` (t = 1, then 100 times the last up to 2*nu/gap; the final stage,
+the first with nu/t <= gap, is centered to a squared decrement of 1e-10, the
+others to 0.04), the step budget ``_StepBudget`` (60 Newton steps per stage,
+``max_iter`` taken in all) and the damped step ``_damped_step`` (decrement
+clamp, float-noise floor, Armijo backtracking). Each program keeps its merit,
+its inline Newton assembly, its stopping rules and its reaction to a singular
+system or a failed line search: synthesis accepts the first as centered and
+raises on the second; the margin solver marks the stage stalled for either.
+
 Real inputs are solved in the real symmetric subspace. When rho (for
 synthesis) or the witness matrix (for the margin solves) has an exactly
 zero imaginary part, complex conjugation maps the program to itself: it
@@ -403,6 +413,58 @@ def _cut_orbits(n: int, parts, group):
     return reps, sizes, [origin[part] for part in parts]
 
 
+def _stages(nu: float, gap: float):
+    """(t, centering tolerance) per barrier stage. Intermediate stages only
+    need rough centering to keep the path jumps sound; the final stage is
+    polished so the result carries the full gap bound nu/t <= gap."""
+    t = 1.0
+    while nu / t > gap:
+        yield t, 0.04
+        t = min(100.0 * t, 2.0 * nu / gap)
+    yield t, 1e-10
+
+
+class _StepBudget:
+    """At most 60 Newton steps per stage and ``max_iter`` steps taken in all."""
+
+    def __init__(self, max_iter: int):
+        self.max_iter, self.taken = max_iter, 0
+
+    def stage(self) -> range:
+        return range(60)
+
+    def check(self, gap: float) -> None:
+        if self.taken >= self.max_iter:
+            raise SolverError(
+                f"no convergence after {self.max_iter} Newton iterations", last_gap=gap
+            )
+
+
+def _damped_step(lam2, base, center_tol, budget, gap, merit):
+    """Damped Newton step from a point of merit ``base`` along a direction of
+    squared decrement ``lam2``; ``merit(s)`` gives the merit and the blocks'
+    Cholesky factors at step length s ((inf, None) outside the cones).
+    Returns "centered", "failed" (no Armijo step down to 1e-12), or the step
+    length and the new point's factors. ``gap`` is the stage's bound, for
+    the error raised when a step is due and the budget is spent."""
+    if not np.isfinite(lam2) or lam2 < 0:
+        lam2 = 0.0  # curvature lost to roundoff: accept as centered
+    # Progress below the float resolution of the merit is indistinguishable
+    # from noise, so such a point counts as centered too.
+    noise = 1e-13 * (1.0 + abs(base))
+    if lam2 <= center_tol or 0.25 * lam2 <= noise:
+        return "centered"
+    budget.check(gap)
+    step = 1.0
+    while step > 1e-12:
+        cand, factors = merit(step)
+        if cand <= base - 0.25 * step * lam2 + noise:
+            budget.taken += 1
+            return step, factors
+        step *= 0.5
+    return "failed"
+
+
 def synthesize(
     rho: np.ndarray, family, tol: SolverTolerances = SolverTolerances()
 ) -> SynthesisResult:
@@ -460,9 +522,6 @@ def _synthesize(
     r = np.tile(0.5 / d * basis.identity, (len(reps), 1))
 
     nu = 2.0 * d * len(parts)  # total barrier parameter (two cones per bipartition)
-    t_barrier = 1.0
-    mu = 100.0
-    iterations = 0
 
     def psi(tb: float, vv: np.ndarray, rv: np.ndarray):
         """Barrier merit and the blocks' Cholesky factors; (inf, None) outside
@@ -479,19 +538,11 @@ def _synthesize(
                 factors.append(chol)
         return total, factors
 
-    factors = psi(t_barrier, v, r)[1]  # of the current point, kept from the line search
-    while True:
+    budget = _StepBudget(tol.max_iter)
+    factors = psi(1.0, v, r)[1]  # of the current point, kept from the line search
+    for t_barrier, center_tol in _stages(nu, tol.gap):
         # Newton-center psi_t(v, r) = t*(c.w) - sum_A m_A [logdet P_A + logdet Q_A].
-        # Intermediate stages only need rough centering to keep the path jumps
-        # sound; the final stage is polished so alpha carries the full gap bound.
-        final_stage = nu / t_barrier <= tol.gap
-        center_tol = 1e-10 if final_stage else 0.04
-        for _ in range(60):
-            if iterations >= tol.max_iter:
-                raise SolverError(
-                    f"no convergence after {tol.max_iter} Newton iterations",
-                    last_gap=nu / t_barrier,
-                )
+        for _ in budget.stage():
             grad_v = t_barrier * c_orb.copy()
             schur = np.zeros((norb, norb))
             rhs_v = np.zeros(norb)
@@ -529,28 +580,15 @@ def _synthesize(
                 [sol[:, 1:] @ dv - sol[:, 0] for sol in solves]
             )
             lam2 = -(grad_v @ dv + sum(m * (g @ s) for m, g, s in zip(weights, gammas, dr)))
-            if not np.isfinite(lam2) or lam2 < 0:
-                lam2 = 0.0  # curvature lost to roundoff: accept as centered
-            # Progress below the float resolution of psi is indistinguishable
-            # from noise, so such a point counts as centered too.
-            noise = 1e-13 * (1.0 + abs(base))
-            if lam2 <= center_tol or 0.25 * lam2 <= noise:
+            outcome = _damped_step(lam2, base, center_tol, budget, nu / t_barrier,
+                                   lambda s: psi(t_barrier, v + s * dv, r + s * dr))
+            if outcome == "centered":
                 break
-            step = 1.0
-            while step > 1e-12:
-                cand, cand_factors = psi(t_barrier, v + step * dv, r + step * dr)
-                if cand <= base - 0.25 * step * lam2 + noise:
-                    break
-                step *= 0.5
-            if step <= 1e-12:
+            if outcome == "failed":
                 raise SolverError("line search failed", last_gap=nu / t_barrier)
+            step, factors = outcome
             v = v + step * dv
             r = r + step * dr
-            factors = cand_factors
-            iterations += 1
-        if final_stage:
-            break
-        t_barrier = min(mu * t_barrier, 2.0 * nu / tol.gap)
 
     w = v[orbit]  # every word of an orbit carries its orbit's coefficient
     xw = np.zeros(4**n)  # the witness in Pauli coordinates
@@ -568,7 +606,7 @@ def _synthesize(
         alpha=alpha,
         certificates=certificates,
         duality_gap=nu / t_barrier,
-        iterations=iterations,
+        iterations=budget.taken,
     )
     detected = alpha < -DETECT_TOL
     p_noise = d * alpha / (d * alpha - 1.0) if detected else None
@@ -691,8 +729,6 @@ def _max_margin_split(xw, basis, pt, tol):
 
     nu = 2.0 * d
     gap_goal = min(tol.gap, 0.25 * tol.feas)  # must resolve margins at feas scale
-    t_barrier = 1.0
-    mu = 100.0
 
     def phi(tb, lv, rv):
         """Barrier merit for the (maximized) margin program, negated, and the
@@ -707,15 +743,11 @@ def _max_margin_split(xw, basis, pt, tol):
             factors.append(chol)
         return total, factors
 
-    factors = phi(t_barrier, lam, r)[1]  # of the current point, kept from the line search
-    iterations = 0
-    stalled = False
-    while True:
-        final_stage = nu / t_barrier <= gap_goal
-        center_tol = 1e-10 if final_stage else 0.04
-        for _ in range(60):
-            if iterations >= tol.max_iter:
-                raise SolverError("margin solve stalled", last_gap=nu / t_barrier)
+    budget = _StepBudget(tol.max_iter)
+    factors = phi(1.0, lam, r)[1]  # of the current point, kept from the line search
+    for t_barrier, center_tol in _stages(nu, gap_goal):
+        stalled = False
+        for _ in budget.stage():
             n_r, ld_r = _inverse(factors[0])
             n_q, ld_q = _inverse(factors[1])
             base = -t_barrier * lam  # phi(t, lam, r), summed in phi's order
@@ -746,32 +778,20 @@ def _max_margin_split(xw, basis, pt, tol):
             dlam = (grad_l - h_rl @ sol[:, 0]) / denom
             dr = sol[:, 0] - sol[:, 1] * dlam
             lam2 = grad_r @ dr + grad_l * dlam
-            if not np.isfinite(lam2) or lam2 < 0:
-                lam2 = 0.0
-            noise = 1e-13 * (1.0 + abs(base))
-            if lam2 <= center_tol or 0.25 * lam2 <= noise:
+            outcome = _damped_step(lam2, base, center_tol, budget, nu / t_barrier,
+                                   lambda s: phi(t_barrier, lam + s * dlam, r + s * dr))
+            if outcome == "centered":
                 break
-            step = 1.0
-            while step > 1e-12:
-                cand, cand_factors = phi(t_barrier, lam + step * dlam, r + step * dr)
-                if cand <= base - 0.25 * step * lam2 + noise:
-                    break
-                step *= 0.5
-            if step <= 1e-12:
+            if outcome == "failed":
                 stalled = True  # direction too noisy to make progress; move on
                 break
+            step, factors = outcome
             lam += step * dlam
             r = r + step * dr
-            factors = cand_factors
-            iterations += 1
         if lam > 0:
             break  # current split already has positive margin
         if not stalled and lam + 1.1 * nu / t_barrier < -tol.feas:
             break  # certified: no decomposition clears the tolerance
-        if final_stage:
-            break
-        stalled = False
-        t_barrier = min(mu * t_barrier, 2.0 * nu / gap_goal)
 
     # The pair sums to W exactly by construction, so the residual is pure
     # float rounding; the achieved margin is read off the matrices themselves

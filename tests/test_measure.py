@@ -217,6 +217,17 @@ def test_sample_counts_deterministic():
     assert not np.array_equal(a.counts, c.counts)
 
 
+def test_sample_counts_ignore_roundoff_on_impossible_outcomes():
+    # outcome 01 is impossible in one state and has probability 1e-16 in the
+    # other; a variate drawn for it would shift the draws of 10 and 11
+    s = MeasurementSetting.from_word("ZZ")
+    exact = np.diag([0.3, 0.0, 0.2, 0.5])
+    nudged = np.diag([0.3, 1e-16, 0.2, 0.5 - 1e-16])
+    a = sample_counts(exact, s, 100_000, seed=0)
+    b = sample_counts(nudged, s, 100_000, seed=0)
+    assert np.array_equal(a.counts, b.counts)
+
+
 def test_simulate_counts_per_setting_seeds():
     rho = states.density(states.make_state("W3"))
     settings = [MeasurementSetting.from_word("ZZZ"), MeasurementSetting.from_word("ZZZ")]
@@ -433,7 +444,8 @@ def test_expectation_csv_roundtrip(tmp_path):
         for k, op in enumerate(ops)
     ]
     path = tmp_path / "exp.csv"
-    write_expectation_csv(path, records)
+    with open(path, "w", newline="") as fh:
+        write_expectation_csv(fh, records)
     back = read_expectation_csv(path, 3)
     assert len(back) == len(records)
     for orig, re_read in zip(records, back):
@@ -445,8 +457,8 @@ def test_expectation_csv_roundtrip(tmp_path):
 
 def test_write_expectation_csv_requires_product(tmp_path):
     rec = ExpectationRecord(ObservableExpr(2, {"ZZ": 1.0}), 0.5, 0.1)
-    with pytest.raises(ValueError):
-        write_expectation_csv(tmp_path / "x.csv", [rec])
+    with open(tmp_path / "x.csv", "w", newline="") as fh, pytest.raises(ValueError):
+        write_expectation_csv(fh, [rec])
 
 
 def test_read_expectation_csv_header_check(tmp_path):

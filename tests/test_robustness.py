@@ -137,7 +137,8 @@ def test_write_curves_csv_roundtrip(tmp_path):
     curve_a = tolerance_curve(w, rho, grid)
     curve_b = tolerance_curve(projector_witness(states.make_state("W3")), rho, grid)
     path = tmp_path / "curves.csv"
-    write_curves_csv(path, curve_a, curve_b)
+    with open(path, "w", newline="") as fh:
+        write_curves_csv(fh, curve_a, curve_b)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(grid)
@@ -154,8 +155,8 @@ def test_write_curves_csv_grid_mismatch(tmp_path):
     rho = states.density(states.make_state("W3"))
     a = tolerance_curve(w, rho, default_grid(stop=0.2, step=0.1))
     b = tolerance_curve(w, rho, default_grid(stop=0.3, step=0.1))
-    with pytest.raises(ValueError):
-        write_curves_csv(tmp_path / "x.csv", a, b)
+    with open(tmp_path / "x.csv", "w", newline="") as fh, pytest.raises(ValueError):
+        write_curves_csv(fh, a, b)
 
 
 def _bisect_reference(w_a, w_b, rho, mode, hi=math.pi / 4, tol=1e-4):

@@ -187,22 +187,55 @@ def evaluate_projector_alpha():
     return -0.13597077020796233
 
 
-def _count_kernel_calls(monkeypatch):
+def _count_factorizations(monkeypatch):
     calls = []
-    kernel = sdp_module._curvature
-    monkeypatch.setattr(sdp_module, "_curvature", lambda *a: calls.append(1) or kernel(*a))
+    cholesky = sdp_module._cholesky
+    monkeypatch.setattr(sdp_module, "_cholesky", lambda *a: calls.append(1) or cholesky(*a))
     return calls
 
 
 def test_margin_iteration_cap_stops_before_any_newton_step(monkeypatch):
-    calls = _count_kernel_calls(monkeypatch)
+    # max_iter=0 allows no step: each solver factors its start point, finds it
+    # uncentered and raises before the line search factors any candidate
+    calls = _count_factorizations(monkeypatch)
     expr = load_paper_witness("D4", 5).expr  # rounded: needs the Newton loop
     with pytest.raises(SolverError):
         decomposition_margins(expr, SolverTolerances(max_iter=0))
-    assert len(calls) == 0
+    assert len(calls) == 2  # P and Q of the first cut's start
+    calls.clear()
     with pytest.raises(SolverError):
         synthesize(W3_RHO, PAIRS_12_23, SolverTolerances(max_iter=0))
-    assert len(calls) == 0
+    assert len(calls) == 4  # P and Q of the start of each of the two cut orbits
+
+
+def test_iteration_cap_counts_steps_taken():
+    # the W3 pair chain converges in exactly 28 Newton steps
+    assert synthesize(W3_RHO, PAIRS_12_23, SolverTolerances(max_iter=28)).solution.iterations == 28
+    with pytest.raises(SolverError, match="no convergence after 27 Newton iterations"):
+        synthesize(W3_RHO, PAIRS_12_23, SolverTolerances(max_iter=27))
+
+
+@pytest.mark.parametrize("solve", [decomposition_margins, verify_witness])
+def test_margin_solvers_share_the_iteration_cap_message(solve):
+    expr = load_paper_witness("D4", 5).expr  # rounded: needs the Newton loop
+    with pytest.raises(SolverError, match="no convergence after 0 Newton iterations"):
+        solve(expr, SolverTolerances(max_iter=0))
+
+
+@pytest.mark.parametrize(
+    "state, family, steps",
+    [
+        ("W3", PAIRS_12_23, 28),
+        ("W3", ALL_PAIRS_3, 27),
+        ("W4", all_k_family(4, 2), 29),
+        ("D4", all_k_family(4, 2), 31),
+    ],
+)
+def test_barrier_path_step_counts(state, family, steps):
+    # pins the stage schedule, the centering tolerances and the line search:
+    # the same counts with one and with two BLAS threads
+    rho = states.density(states.make_state(state))
+    assert synthesize(rho, family).solution.iterations == steps
 
 
 def _phased(name, qubit):

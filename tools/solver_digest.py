@@ -1,0 +1,90 @@
+"""Print a digest of every solver output the benchmark workloads produce.
+
+One line per output, so that diffing the digests of two checkouts shows
+whether a change moved any iterate:
+
+- each synth-table and edl-scan solve: label, Newton steps, repr(alpha),
+  repr(duality_gap) and the SHA-256 of the certificate bytes;
+- each catalog witness and the D4/C4 projectors (normalized to unit trace,
+  as the certify-catalog workload has them): the repr of every
+  decomposition_margins pair and a hash of the verify_witness certificates
+  (None when it rejects the witness);
+- last, the Newton step totals of the two synthesis workloads.
+
+The inputs are read from bench/workloads.py; nothing there is changed. Run
+from the root of a checkout (edlkit is imported from its ./src):
+
+    python3 tools/solver_digest.py > digest.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from edlkit import sdp, states, witness  # noqa: E402
+from workloads import (  # noqa: E402
+    C4_DEVIATION_FAMILIES,
+    DETECTION_LENGTH,
+    SUMMARY_ROWS,
+    _label,
+)
+
+
+def certificate_hash(certificates) -> str:
+    if certificates is None:
+        return "None"
+    digest = hashlib.sha256()
+    for part in sorted(certificates, key=sorted):
+        for block in certificates[part]:
+            digest.update(block.tobytes())
+    return digest.hexdigest()
+
+
+def synthesis_line(label: str, result) -> str:
+    sol = result.solution
+    return (f"{label}: steps={sol.iterations} alpha={result.alpha!r} "
+            f"gap={sol.duality_gap!r} cert={certificate_hash(sol.certificates)}")
+
+
+def main() -> None:
+    rho = {name: states.density(states.make_state(name)) for name in states.STATE_NAMES}
+
+    steps = 0
+    cases = [(state, family) for state, family, _, _ in SUMMARY_ROWS]
+    cases += [("C4", family) for family in C4_DEVIATION_FAMILIES]
+    for state, family in cases:
+        result = sdp.synthesize(rho[state], family)
+        steps += result.solution.iterations
+        print(synthesis_line(f"synth {state} {_label(family)}", result))
+    synth_steps = steps
+
+    steps = 0
+    for state in DETECTION_LENGTH:
+        for k, result in sdp.edl_scan(rho[state]).items():
+            steps += result.solution.iterations
+            print(synthesis_line(f"edl {state} k={k}", result))
+    scan_steps = steps
+
+    entries = [(w.label, w.expr) for w in witness.load_catalog()]
+    for state in ("D4", "C4"):
+        proj = witness.projector_witness(states.make_state(state))
+        entries.append((f"{state}-projector", (1.0 / proj.expr.trace()) * proj.expr))
+    for label, expr in entries:
+        margins = sdp.decomposition_margins(expr)
+        pairs = " ".join(
+            f"{''.join(map(str, sorted(part)))}:{margins[part][0]!r},{margins[part][1]!r}"
+            for part in sorted(margins, key=sorted)
+        )
+        print(f"margins {label}: {pairs}")
+        print(f"verify {label}: {certificate_hash(sdp.verify_witness(expr))}")
+
+    print(f"newton steps: synth-table {synth_steps}, edl-scan {scan_steps}")
+
+
+if __name__ == "__main__":
+    main()
