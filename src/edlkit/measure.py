@@ -263,10 +263,7 @@ def outcome_probabilities(rho: np.ndarray, setting: MeasurementSetting) -> np.nd
             obs = _axis_matrix(axis)
             plus, minus = (eye + obs) / 2, (eye - obs) / 2
         maps.append(np.stack([plus.T.reshape(4), minus.T.reshape(4)]))
-    # interleave ρ's row and column index per qubit: a1 b1 a2 b2 ... an bn
-    order = [axis for q in range(n) for axis in (q, n + q)]
-    interleaved = rho.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
-    probs = pauli.local_map(interleaved, maps).real
+    probs = pauli.local_map(pauli._interleave(rho, n), maps).real
     if (probs < -1e-12).any():
         raise ValueError("negative outcome probability beyond tolerance")
     probs = np.clip(probs, 0.0, None)

@@ -1,4 +1,4 @@
-"""Dense Pauli-string operator algebra for small qubit registers.
+"""Pauli-string operator algebra for small qubit registers.
 
 Conventions used throughout the package:
 
@@ -9,8 +9,11 @@ Conventions used throughout the package:
 * Qubit subsets are collections of 1-based indices.
 
 :func:`local_map` applies one small matrix per qubit, mode by mode, without
-forming the Kronecker product; misalignment sweeps and outcome probabilities
-run through it.
+forming the Kronecker product. Every change of Pauli basis runs through it:
+the coordinate transforms cost O(n·4^n) on the matrix with each qubit's row
+and column bits interleaved, and no 4^n x 4^n basis is ever built.
+Misalignment sweeps and outcome probabilities use the same kernel.
+:func:`pauli_basis` is the dense reference the kernel is tested against.
 
 Everything here is a pure function over immutable inputs; results may be
 cached module-level but are never mutated.
@@ -146,29 +149,36 @@ def pauli_basis(n: int) -> np.ndarray:
     return stack
 
 
-@functools.lru_cache(maxsize=6)
-def _basis_flat(n: int) -> np.ndarray:
-    """(4^n, 4^n) matrix whose row p is pauli_basis(n)[p] flattened row-major."""
-    d = 2**n
-    flat = pauli_basis(n).reshape(4**n, d * d).copy()
-    flat.setflags(write=False)
-    return flat
+# Row l, column (a, b) of _TO_COORDS holds P_l[b, a], so a qubit's interleaved
+# entries m[a, b] map to Tr(P_l m); _FROM_COORDS holds P_l[a, b] at row (a, b).
+_TO_COORDS = np.stack([PAULI_1Q[c].T.reshape(4) for c in LETTERS])
+_FROM_COORDS = _TO_COORDS.conj().T
+
+
+def _interleave(m: np.ndarray, n: int) -> np.ndarray:
+    """Entries of a 2^n x 2^n matrix as one vector indexed a1 b1 a2 b2 ... an bn."""
+    order = [axis for q in range(n) for axis in (q, n + q)]
+    return m.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
+
+
+def _deinterleave(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_interleave`."""
+    order = [2 * q for q in range(n)] + [2 * q + 1 for q in range(n)]
+    return v.reshape((2,) * (2 * n)).transpose(order).reshape(2**n, 2**n)
 
 
 def to_pauli_coords(m: np.ndarray) -> np.ndarray:
     """Real Pauli coordinates x with m = sum_P x_P P, for Hermitian m."""
-    d = m.shape[0]
-    n = _infer_n(d)
-    trs = _basis_flat(n) @ np.asarray(m, dtype=complex).T.reshape(-1)
-    return np.real(trs) / d
+    m = np.asarray(m, dtype=complex)
+    n = _infer_n(m.shape[0])
+    return local_map(_interleave(m, n), [_TO_COORDS] * n).real / 2**n
 
 
 def from_pauli_coords(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_pauli_coords`."""
     x = np.asarray(x, dtype=float)
     n = _infer_n_coords(x.size)
-    d = 2**n
-    return (x @ _basis_flat(n)).reshape(d, d)
+    return _deinterleave(local_map(x, [_FROM_COORDS] * n), n)
 
 
 def _infer_n(dim: int) -> int:

@@ -2,12 +2,13 @@
 
 Misalignment replaces each non-identity Pauli letter by a tilted axis —
 all_axes: X -> cos(t)X + sin(t)Y, Y -> cos(t)Y + sin(t)Z, Z -> cos(t)Z + sin(t)X;
-y_only applies just the Y rule. The substitution is applied termwise and
-recollected, which is its unique linear extension to arbitrary expressions.
+y_only applies just the Y rule. In Pauli coordinates that is the 4x4 letter map
+R_t on every qubit, the unique linear extension to arbitrary expressions.
 
 A tolerance curve is one batched contraction over the angles, never expanding
-the tilted witness: with the 4x4 letter map R_t, Tr(W_t rho) = 2^n <w, (R_t^T)^(xn) r>
-for the Pauli coordinates w and r of witness and state (:func:`pauli.local_map`).
+the tilted witness: Tr(W_t rho) = 2^n <w, (R_t^T)^(xn) r> for the Pauli
+coordinates w and r of witness and state (:func:`pauli.local_map`). Crossovers
+evaluate both witnesses the same way.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli
-from .witness import ObservableExpr, Witness, _noise_tolerance, _state_coords, p_noise
+from .witness import ObservableExpr, Witness, _noise_tolerance, _state_coords
+from .witness import p_noise  # noqa: F401  (kept importable as robustness.p_noise)
 
 MODES = ("all_axes", "y_only")
 
 _THETA_BATCH = 32  # angles per contraction; the whole grid at once only adds temporaries
-_LETTER_INDEX = {letter: i for i, letter in enumerate(pauli.LETTERS)}
 
 
 @dataclass(frozen=True)
@@ -48,23 +49,13 @@ class MisalignmentSpec:
             )
 
 
-def _letter_rules(spec: MisalignmentSpec) -> dict[str, tuple[tuple[str, float], ...]]:
-    c, s = math.cos(spec.theta), math.sin(spec.theta)
-    if spec.mode == "all_axes":
-        rules = {"X": (("X", c), ("Y", s)), "Y": (("Y", c), ("Z", s)), "Z": (("Z", c), ("X", s))}
-    else:
-        rules = {"X": (("X", 1.0),), "Y": (("Y", c), ("Z", s)), "Z": (("Z", 1.0),)}
-    rules["I"] = (("I", 1.0),)
-    return rules
-
-
 def _letter_map(spec: MisalignmentSpec) -> np.ndarray:
     """4x4 matrix R with R[b, a] the weight of letter b in the tilted letter a."""
-    r = np.zeros((4, 4))
-    for letter, subs in _letter_rules(spec).items():
-        for sub, weight in subs:
-            r[_LETTER_INDEX[sub], _LETTER_INDEX[letter]] = weight
-    return r
+    c, s = math.cos(spec.theta), math.sin(spec.theta)
+    if spec.mode == "all_axes":  # X -> cX + sY, Y -> cY + sZ, Z -> cZ + sX
+        return np.array([[1, 0, 0, 0], [0, c, 0, s], [0, s, c, 0], [0, 0, s, c]])
+    # y_only: Y -> cY + sZ
+    return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, 0], [0, 0, s, 1]])
 
 
 def misalign_expr(expr: ObservableExpr, spec: MisalignmentSpec) -> ObservableExpr:
@@ -73,19 +64,19 @@ def misalign_expr(expr: ObservableExpr, spec: MisalignmentSpec) -> ObservableExp
     Identity letters are untouched, so the trace is preserved exactly; each
     tilted letter keeps unit Bloch norm, so it still squares to the identity.
     """
-    rules = _letter_rules(spec)
-    out: dict[str, float] = {}
-    for word, coeff in expr.terms.items():
-        expansions = [("", coeff)]
-        for letter in word:
-            expansions = [
-                (prefix + sub, c * weight)
-                for prefix, c in expansions
-                for sub, weight in rules[letter]
-            ]
-        for new_word, c in expansions:
-            out[new_word] = out.get(new_word, 0.0) + c
-    return ObservableExpr(expr.n, out)
+    coords = pauli.local_map(expr.coords(), [_letter_map(spec)] * expr.n)
+    return ObservableExpr.from_coords(expr.n, coords, eps=0.0)
+
+
+def _tolerances(
+    expr: ObservableExpr, rho_coords: np.ndarray, thetas, mode: str
+) -> list[float | None]:
+    """White-noise tolerance of expr misaligned by each angle, on the state with
+    Pauli coordinates rho_coords: one contraction over all the angles."""
+    maps = np.stack([_letter_map(MisalignmentSpec(t, mode)).T for t in thetas])
+    values = pauli.local_map(rho_coords, [maps] * expr.n) @ expr.coords() * 2**expr.n
+    # misalignment never maps a letter to I: the identity coefficient stays expr's
+    return [_noise_tolerance(expr, float(v)) for v in values]
 
 
 @dataclass(frozen=True)
@@ -120,16 +111,10 @@ def tolerance_curve(
         raise ValueError("grid must be nonempty")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("grid must be strictly ascending")
-    n = w.expr.n
-    rho_coords = _state_coords(n, rho)  # once per curve, not per angle
-    w_coords = w.expr.coords()
+    rho_coords = _state_coords(w.expr.n, rho)  # once per curve, not per angle
     tolerances = []
     for start in range(0, len(thetas), _THETA_BATCH):
-        specs = [MisalignmentSpec(t, mode) for t in thetas[start:start + _THETA_BATCH]]
-        maps = np.stack([_letter_map(spec).T for spec in specs])
-        values = pauli.local_map(rho_coords, [maps] * n) @ w_coords * 2**n
-        # misalignment never maps a letter to I: the identity coefficient stays w's
-        tolerances.extend(_noise_tolerance(w.expr, float(v)) for v in values)
+        tolerances += _tolerances(w.expr, rho_coords, thetas[start:start + _THETA_BATCH], mode)
     return ToleranceCurve(thetas=thetas, tolerances=tuple(tolerances), witness_label=w.label)
 
 
@@ -146,11 +131,13 @@ def crossover(
     Raises ValueError when the difference has no sign change (or more than
     one) on the part of (0, hi) where both witnesses still detect rho.
     """
+    rho_coords = _state_coords(w_a.expr.n, rho)  # once per crossover, not per angle
+    if w_b.expr.n != w_a.expr.n:
+        raise ValueError("dimension mismatch between expression and state")
 
     def try_diff(theta: float) -> float | None:
-        spec = MisalignmentSpec(theta, mode)
-        pa = p_noise(misalign_expr(w_a.expr, spec), rho)
-        pb = p_noise(misalign_expr(w_b.expr, spec), rho)
+        [pa] = _tolerances(w_a.expr, rho_coords, [theta], mode)
+        [pb] = _tolerances(w_b.expr, rho_coords, [theta], mode)
         if pa is None or pb is None:
             return None
         return pa - pb

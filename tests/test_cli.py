@@ -8,6 +8,7 @@ import pytest
 
 from edlkit import states
 from edlkit.cli import main
+from edlkit.witness import load_paper_witness
 
 
 def run(capsys, *argv):
@@ -195,6 +196,14 @@ def test_robustness_bad_mode_and_grid(capsys):
         capsys, "robustness", "--witness", "D4-5", "--compare", "projector", "--theta", "0.6:0:0.01",
     )
     assert code == 2
+
+
+def test_robustness_compare_qubit_count_mismatch_exits_2(tmp_path, capsys):
+    path = tmp_path / "w3.json"
+    load_paper_witness("W3", 1).save(path)
+    code, _, err = run(capsys, "robustness", "--witness", "D4-5", "--compare", str(path))
+    assert code == 2
+    assert "dimension mismatch between expression and state" in err
 
 
 # --- edl -----------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edlkit import pauli
+from edlkit import pauli, sdp
+from edlkit.witness import ObservableExpr
 
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,16 +57,38 @@ def test_word_support():
 
 
 def test_coords_roundtrip():
+    # both transforms against the dense reference basis, on complex Hermitian input
     rng = np.random.default_rng(7)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         d = 2**n
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = (a + a.conj().T) / 2
+        basis = pauli.pauli_basis(n)
         x = pauli.to_pauli_coords(h)
-        assert x.shape == (4**n,)
-        assert np.max(np.abs(x.imag)) < 1e-12 if np.iscomplexobj(x) else True
+        assert x.shape == (4**n,) and x.dtype == float
+        want = np.einsum("pba,ab->p", basis, h).real / d
+        assert np.max(np.abs(x - want)) <= 1e-15 * np.linalg.norm(h)
         back = pauli.from_pauli_coords(x)
+        assert back.shape == (d, d)
+        assert np.max(np.abs(back - np.einsum("p,pab->ab", x, basis))) <= 1e-15 * np.linalg.norm(x)
         assert np.max(np.abs(back - h)) < 1e-12
+
+
+def test_transforms_build_no_dense_basis():
+    psi = np.zeros(32)
+    psi[[1, 2, 4, 8, 16]] = 1 / np.sqrt(5)  # the five-qubit W state
+    rho = np.outer(psi, psi).astype(complex)
+    for cached in vars(pauli).values():  # cold caches: nothing built earlier can hide a build
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    info = pauli.pauli_basis.cache_info()
+    before = info.hits + info.misses
+    x = pauli.to_pauli_coords(rho)
+    pauli.from_pauli_coords(x)
+    ObservableExpr.from_coords(5, x).matrix()
+    sdp.build_problem(rho, sdp.all_k_family(5, 2))
+    info = pauli.pauli_basis.cache_info()
+    assert info.hits + info.misses == before
 
 
 def test_coords_of_named_word():

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edlkit import robustness, states
+from edlkit import pauli, robustness, states
 from edlkit.pauli import PAULI_1Q
 from edlkit.robustness import MisalignmentSpec, ToleranceCurve, crossover, default_grid, misalign_expr, tolerance_curve, write_curves_csv
 from edlkit.witness import ObservableExpr, evaluate, load_catalog, load_paper_witness, p_noise, projector_witness
@@ -186,16 +188,26 @@ def test_crossover_misaligns_each_witness_once_per_angle(monkeypatch):
     proj = projector_witness(states.make_state("D4"), label="projector")
     expected = _bisect_reference(w5, proj, D4_RHO, "all_axes")
     seen = []
-    real = robustness.misalign_expr
-    monkeypatch.setattr(
-        robustness, "misalign_expr",
-        lambda expr, spec: seen.append((id(expr), spec.theta)) or real(expr, spec),
-    )
+    real = robustness._tolerances
+
+    def spy(expr, rho_coords, thetas, mode):
+        seen.extend((id(expr), t) for t in thetas)
+        return real(expr, rho_coords, thetas, mode)
+
+    monkeypatch.setattr(robustness, "_tolerances", spy)
     theta = crossover(w5, proj, D4_RHO, mode="all_axes")
     assert theta == expected
     # 19 scan angles (the last one blind) and 8 bisection midpoints, two
-    # witnesses each; re-evaluating the lower bracket end made it 70 calls
+    # witnesses each; re-evaluating the lower bracket end made it 70
     assert len(seen) == len(set(seen)) == 54
+
+
+def test_crossover_rejects_qubit_count_mismatch():
+    w3 = load_paper_witness("W3", 1)
+    w5 = load_paper_witness("D4", 5)
+    for w_a, w_b in ((w3, w5), (w5, w3)):
+        with pytest.raises(ValueError, match="dimension mismatch between expression and state"):
+            crossover(w_a, w_b, D4_RHO)
 
 
 def test_tolerance_curve_matches_per_point_p_noise():
@@ -224,6 +236,18 @@ def _tilted_letter(letter, theta, mode):
     return c * PAULI_1Q[letter] + s * PAULI_1Q[nxt[letter]]
 
 
+def _tilted_operator(expr, theta, mode):
+    """Dense matrix of expr with each letter replaced by its tilted matrix."""
+    d = 2**expr.n
+    tilted = np.zeros((d, d), dtype=complex)
+    for word, coeff in expr.terms.items():
+        factor = np.eye(1)
+        for letter in word:
+            factor = np.kron(factor, _tilted_letter(letter, theta, mode))
+        tilted += coeff * factor
+    return tilted
+
+
 def test_tolerance_curve_matches_dense_tilted_witness():
     grid = default_grid(step=0.05)
     for w in load_catalog():
@@ -232,15 +256,27 @@ def test_tolerance_curve_matches_dense_tilted_witness():
         for mode in robustness.MODES:
             curve = tolerance_curve(w, rho, grid, mode)
             for theta, got in zip(grid, curve.tolerances):
-                tilted = np.zeros((d, d), dtype=complex)
-                for word, coeff in w.expr.terms.items():
-                    factor = np.eye(1)
-                    for letter in word:
-                        factor = np.kron(factor, _tilted_letter(letter, theta, mode))
-                    tilted += coeff * factor
+                tilted = _tilted_operator(w.expr, theta, mode)
                 t = np.trace(tilted @ rho).real
                 m = np.trace(tilted).real / d
                 if t >= 0:
                     assert got is None, (w.label, mode, theta)
                 else:
                     assert abs(got - t / (t - m)) <= 1e-12, (w.label, mode, theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.0, math.pi / 2),
+    mode=st.sampled_from(robustness.MODES),
+)
+def test_misalign_expr_matches_tilted_kronecker_product(n, seed, theta, mode):
+    rng = np.random.default_rng(seed)
+    words = pauli.all_words(n)
+    picks = rng.choice(4**n, size=rng.integers(1, 4**n + 1), replace=False)
+    expr = ObservableExpr(n, {words[i]: rng.standard_normal() for i in picks})
+    out = misalign_expr(expr, MisalignmentSpec(theta, mode))
+    assert out.identity_coeff == expr.identity_coeff
+    assert np.max(np.abs(out.matrix() - _tilted_operator(expr, theta, mode))) <= 1e-12
