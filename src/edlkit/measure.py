@@ -5,6 +5,12 @@ A product observable is measured one qubit at a time along a Bloch axis; a
 are multinomial over the 2^n outcome strings, expectations are signed count
 sums, and witnesses/fidelities are linear combinations of such records with
 errors combined in quadrature across settings.
+
+A record is (product, value, sigma): the measured ProductOp, its estimated
+expectation and standard error. A record matches a wanted product when both
+measure the same qubits and each measured axis agrees within 1e-10 per
+component, either as is or negated, with an even number of negated axes:
+[(X-Z)/r2]x2 is the same operator as [(Z-X)/r2]x2, [(X-Z)/r2]x3 is not.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ PAULI_AXES = {
     "Y": (0.0, 1.0, 0.0),
     "Z": (0.0, 0.0, 1.0),
 }
+
+def _word_axes(word: str) -> tuple:
+    return tuple(None if c == "I" else PAULI_AXES[c] for c in word)
+
 
 def _axis_matrix(axis) -> np.ndarray:
     ax, ay, az = axis
@@ -52,7 +62,7 @@ class MeasurementSetting:
     @classmethod
     def from_word(cls, word: str) -> "MeasurementSetting":
         pauli.check_word(word)
-        return cls(len(word), tuple(None if c == "I" else PAULI_AXES[c] for c in word))
+        return cls(len(word), _word_axes(word))
 
     def covers(self, op: "ProductOp") -> bool:
         """True when every measured factor of op matches this setting's axis."""
@@ -139,10 +149,9 @@ class CountTable:
 class ExpectationRecord:
     """Measured expectation of one product operator with its standard error."""
 
-    operator: ObservableExpr
+    product: ProductOp
     value: float
     sigma: float
-    product: ProductOp | None = None
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -188,11 +197,7 @@ def parse_operator(text: str, n: int) -> ProductOp:
         return ProductOp(n=n, axes=axes, text=compact)
 
     if re.fullmatch(r"[IXYZ]+", compact) and len(compact) == n and not compact[1:2].isdigit():
-        return ProductOp(
-            n=n,
-            axes=tuple(None if c == "I" else PAULI_AXES[c] for c in compact),
-            text=compact,
-        )
+        return ProductOp(n=n, axes=_word_axes(compact), text=compact)
 
     pos = 0
     seen: dict[int, str] = {}
@@ -316,62 +321,61 @@ def estimate_expectations(tables, operators) -> list[ExpectationRecord]:
         signs = 1 - 2 * parity.astype(np.int64)
         value = float(signs @ table.counts) / table.shots
         variance = max(0.0, (1.0 - value * value) / table.shots)
-        records.append(
-            ExpectationRecord(
-                operator=op.expr(), value=value, sigma=math.sqrt(variance), product=op
-            )
-        )
+        records.append(ExpectationRecord(op, value, math.sqrt(variance)))
     return records
 
 
-def combine(records, expr: ObservableExpr) -> tuple[float, float]:
-    """Expression value from per-term records, errors in quadrature.
-
-    Every non-identity term of expr must match exactly one record holding
-    that single Pauli word with unit coefficient.
-    """
-    by_word: dict[str, ExpectationRecord] = {}
-    for rec in records:
-        terms = rec.operator.terms
-        if len(terms) == 1:
-            (word, coeff), = terms.items()
-            if abs(coeff - 1.0) <= 1e-12 and set(word) != {"I"}:
-                if word in by_word:
-                    raise ValueError(f"operator {word} matched by more than one record")
-                by_word[word] = rec
-    value = expr.identity_coeff
-    variance = 0.0
-    for word, coeff in expr.terms.items():
-        if set(word) == {"I"}:
+def _same_operator(a: ProductOp, b: ProductOp) -> bool:
+    """For products on the same measured qubits: each axis equal or negated within 1e-10,
+    with an even number of negated axes."""
+    flips = 0
+    for u, v in zip(a.axes, b.axes):
+        if u == v:  # also both unmeasured
             continue
-        rec = by_word.get(word)
-        if rec is None:
-            raise ValueError(f"no record for operator {word}")
-        value += coeff * rec.value
-        variance += (coeff * rec.sigma) ** 2
-    return value, math.sqrt(variance)
+        if all(abs(x - y) <= 1e-10 for x, y in zip(u, v)):
+            continue
+        if not all(abs(x + y) <= 1e-10 for x, y in zip(u, v)):
+            return False
+        flips += 1
+    return flips % 2 == 0
 
 
-def combine_plan(records, plan: "FidelityPlan") -> tuple[float, float]:
-    """Fidelity estimate from a plan's record-basis combination."""
-    value = plan.constant
-    variance = 0.0
-    # records over another qubit count never match; the rest as one coordinate table
-    records = [r for r in records if r.operator.n == plan.n]
-    table = np.array([r.operator.coords() for r in records]).reshape(len(records), 4**plan.n)
-    for coeff, text in plan.record_combo:
-        target = parse_operator(text, plan.n).expr().coords()
-        # a match agrees within 1e-10 on every coordinate, so on the largest first
-        j = int(np.argmax(np.abs(target)))
-        candidates = np.flatnonzero(np.abs(table[:, j] - target[j]) <= 1e-10)
-        matches = [records[i] for i in candidates if np.all(np.abs(table[i] - target) <= 1e-10)]
+def _combine(records, targets, constant: float) -> tuple[float, float]:
+    """constant + sum of coeff * record value over (coeff, ProductOp) targets.
+
+    Each target must match exactly one record; errors add in quadrature.
+    """
+    # keyed by which qubits are measured; the key's length is the qubit count
+    by_support: dict[tuple, list[ExpectationRecord]] = {}
+    for rec in records:
+        by_support.setdefault(tuple(a is None for a in rec.product.axes), []).append(rec)
+    value, variance = constant, 0.0
+    for coeff, op in targets:
+        candidates = by_support.get(tuple(a is None for a in op.axes), ())
+        matches = [r for r in candidates if _same_operator(r.product, op)]
         if len(matches) != 1:
             raise ValueError(
-                f"operator {text!r} matched {len(matches)} records, expected exactly 1"
+                f"operator {op.text!r} matched {len(matches)} records, expected exactly 1"
             )
         value += coeff * matches[0].value
         variance += (coeff * matches[0].sigma) ** 2
     return value, math.sqrt(variance)
+
+
+def combine(records, expr: ObservableExpr) -> tuple[float, float]:
+    """Expression value from one record per non-identity Pauli word of expr."""
+    targets = [
+        (coeff, ProductOp(expr.n, _word_axes(word), word))
+        for word, coeff in expr.terms.items()
+        if set(word) != {"I"}
+    ]
+    return _combine(records, targets, expr.identity_coeff)
+
+
+def combine_plan(records, plan: "FidelityPlan") -> tuple[float, float]:
+    """Fidelity estimate from one record per product of the plan's record combination."""
+    targets = [(coeff, parse_operator(text, plan.n)) for coeff, text in plan.record_combo]
+    return _combine(records, targets, plan.constant)
 
 
 # --- fidelity measurement plans ------------------------------------------
@@ -500,14 +504,7 @@ def read_expectation_csv(path, n: int) -> list[ExpectationRecord]:
             raise ValueError(f"{path}: expected header operator,value,sigma")
         for row in reader:
             op = parse_operator(row["operator"], n)
-            records.append(
-                ExpectationRecord(
-                    operator=op.expr(),
-                    value=float(row["value"]),
-                    sigma=float(row["sigma"]),
-                    product=op,
-                )
-            )
+            records.append(ExpectationRecord(op, float(row["value"]), float(row["sigma"])))
     return records
 
 
@@ -516,8 +513,6 @@ def write_expectation_csv(fh, records) -> None:
     writer = csv.writer(fh)
     writer.writerow(["operator", "value", "sigma"])
     for rec in records:
-        if rec.product is None:
-            raise ValueError("record has no product text to serialize")
         writer.writerow([rec.product.text, repr(rec.value), repr(rec.sigma)])
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +304,18 @@ def test_estimate_bundled_fixture_witness(capsys):
 def test_estimate_missing_file(capsys):
     code, _, _ = run(capsys, "estimate", "--expectations", "nope.csv", "--fidelity", "d4")
     assert code == 2
+
+
+@pytest.mark.parametrize("target", [("--witness", "D4-5"), ("--fidelity", "d4")])
+def test_estimate_missing_record_exits_2(tmp_path, capsys, target):
+    rows = Path("src/edlkit/data/tables/d4a.csv").read_text().splitlines(keepends=True)
+    table = tmp_path / "d4a.csv"
+    table.write_text("".join(r for r in rows if not r.startswith("X1X2,")))
+    assert len(table.read_text().splitlines()) == len(rows) - 1
+    code, out, err = run(capsys, "estimate", "--expectations", str(table), *target)
+    assert code == 2
+    assert out == ""
+    assert "operator 'XXII' matched 0 records, expected exactly 1" in err
 
 
 def test_estimate_simulated_roundtrip(tmp_path, capsys):

@@ -10,6 +10,7 @@ from edlkit.measure import (
     CountTable,
     ExpectationRecord,
     MeasurementSetting,
+    ProductOp,
     combine,
     combine_plan,
     estimate_expectations,
@@ -298,11 +299,7 @@ def test_combine_reproduces_expression_value():
     words = [t for t in w.expr.terms if set(t) != {"I"}]
     # exact records: zero sigma, value = true expectation
     records = [
-        ExpectationRecord(
-            operator=ObservableExpr(4, {word: 1.0}),
-            value=evaluate(ObservableExpr(4, {word: 1.0}), rho),
-            sigma=0.0,
-        )
+        ExpectationRecord(parse_operator(word, 4), evaluate(ObservableExpr(4, {word: 1.0}), rho), 0.0)
         for word in words
     ]
     value, sigma = combine(records, w.expr)
@@ -313,8 +310,8 @@ def test_combine_reproduces_expression_value():
 def test_combine_error_propagation_in_quadrature():
     expr = ObservableExpr(2, {"ZI": 2.0, "IZ": -1.0})
     records = [
-        ExpectationRecord(ObservableExpr(2, {"ZI": 1.0}), 0.5, 0.1),
-        ExpectationRecord(ObservableExpr(2, {"IZ": 1.0}), 0.25, 0.2),
+        ExpectationRecord(parse_operator("ZI", 2), 0.5, 0.1),
+        ExpectationRecord(parse_operator("Z2", 2), 0.25, 0.2),
     ]
     value, sigma = combine(records, expr)
     assert value == pytest.approx(2 * 0.5 - 0.25)
@@ -323,11 +320,14 @@ def test_combine_error_propagation_in_quadrature():
 
 def test_combine_missing_and_duplicate_records():
     expr = ObservableExpr(2, {"ZZ": 1.0})
-    rec = ExpectationRecord(ObservableExpr(2, {"ZZ": 1.0}), 0.9, 0.01)
-    with pytest.raises(ValueError):
+    rec = ExpectationRecord(parse_operator("ZZ", 2), 0.9, 0.01)
+    with pytest.raises(ValueError, match="'ZZ' matched 0 records, expected exactly 1"):
         combine([], expr)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'ZZ' matched 2 records, expected exactly 1"):
         combine([rec, rec], expr)
+    # duplicates of a product that expr does not use are never looked at
+    unused = ExpectationRecord(parse_operator("XX", 2), 0.1, 0.01)
+    assert combine([unused, rec, unused], expr) == (0.9, 0.01)
 
 
 # --- fidelity plans ---------------------------------------------------------
@@ -384,7 +384,7 @@ def _combine_plan_by_scan(records, plan):
     value, variance = plan.constant, 0.0
     for coeff, text in plan.record_combo:
         target = parse_operator(text, plan.n).expr()
-        matches = [r for r in records if r.operator.isclose(target, tol=1e-10)]
+        matches = [r for r in records if r.product.expr().isclose(target, tol=1e-10)]
         if len(matches) != 1:
             raise ValueError(
                 f"operator {text!r} matched {len(matches)} records, expected exactly 1"
@@ -399,38 +399,117 @@ def test_combine_plan_matches_isclose_scan(state):
     plan = fidelity_settings(state)
     rng = np.random.default_rng(7)
     records = [
-        ExpectationRecord(parse_operator(text, plan.n).expr(), float(v), float(s))
+        ExpectationRecord(parse_operator(text, plan.n), float(v), float(s))
         for (_, text), v, s in zip(
             plan.record_combo,
             rng.uniform(-1, 1, len(plan.record_combo)),
             rng.uniform(0, 0.1, len(plan.record_combo)),
         )
     ]
-    first = records[0].operator.terms
 
-    def moved(delta, value):
-        return ExpectationRecord(
-            ObservableExpr(plan.n, {w: c + delta for w, c in first.items()}), value, 0.0
-        )
+    def moved(rec, delta, value):
+        """rec's product with the largest component of its first measured axis moved by delta."""
+        axes = list(rec.product.axes)
+        q = next(i for i, axis in enumerate(axes) if axis is not None)
+        axis = list(axes[q])
+        axis[int(np.argmax(np.abs(axis)))] += delta
+        axes[q] = tuple(axis)
+        return ExpectationRecord(ProductOp(plan.n, tuple(axes), rec.product.text), value, 0.0)
 
-    # decoys that match nothing: an unrelated operator, and the first one moved
-    # by 1e-9, outside the 1e-10 tolerance
-    records.append(ExpectationRecord(ObservableExpr(plan.n, {"X" * plan.n: 0.5}), 0.1, 0.0))
-    records.append(moved(1e-9, 0.2))
+    # decoys that match nothing: an unrelated operator, and the first and last
+    # (tilted for W3, W4, D4) products moved by 1e-9, outside the 1e-10 tolerance
+    first, last = records[0], records[-1]
+    records.append(ExpectationRecord(parse_operator("Y1", plan.n), 0.1, 0.0))
+    records += [moved(first, 1e-9, 0.2), moved(last, 1e-9, 0.2)]
     shuffled = [records[i] for i in rng.permutation(len(records))]
     assert combine_plan(shuffled, plan) == _combine_plan_by_scan(shuffled, plan)
 
-    duplicate = shuffled + [moved(5e-11, 0.3)]  # inside the tolerance: a second match
-    with pytest.raises(ValueError, match="matched 2 records, expected exactly 1"):
-        combine_plan(duplicate, plan)
-    with pytest.raises(ValueError, match="matched 2 records, expected exactly 1"):
-        _combine_plan_by_scan(duplicate, plan)
+    for rec in (first, last):
+        duplicate = shuffled + [moved(rec, 5e-11, 0.3)]  # inside the tolerance: a second match
+        with pytest.raises(ValueError, match="matched 2 records, expected exactly 1"):
+            combine_plan(duplicate, plan)
+        with pytest.raises(ValueError, match="matched 2 records, expected exactly 1"):
+            _combine_plan_by_scan(duplicate, plan)
 
-    missing = [r for r in shuffled if r is not records[0]]
+    missing = [r for r in shuffled if r is not first]
     with pytest.raises(ValueError, match="matched 0 records, expected exactly 1"):
         combine_plan(missing, plan)
     with pytest.raises(ValueError, match="matched 0 records, expected exactly 1"):
         _combine_plan_by_scan(missing, plan)
+
+
+@st.composite
+def _product_texts(draw, n):
+    """Operator text of one grammar form, plus its composite with the two letters
+    swapped ((A-B) becomes (B-A): every factor negated), or None for other forms."""
+    form = draw(st.sampled_from(["word", "indexed", "uniform", "subset"]))
+    if form == "word":
+        return "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))), None
+    qubits = sorted(draw(st.sets(st.integers(1, n), min_size=1)))
+    if form == "indexed":
+        return "".join(draw(st.sampled_from("XYZ")) + str(q) for q in qubits), None
+    a, b = draw(st.permutations("XYZ"))[:2]
+    sign = draw(st.sampled_from("+-"))
+    tail = f"x{n}" if form == "uniform" else "_" + ",".join(map(str, qubits))
+    return f"[({a}{sign}{b})/r2]{tail}", f"[({b}{sign}{a})/r2]{tail}"
+
+
+def _matched(record_op, target_op) -> bool:
+    record = ExpectationRecord(record_op, 0.5, 0.0)
+    try:
+        measure._combine([record], [(1.0, target_op)], 0.0)
+    except ValueError as exc:
+        assert "matched 0 records" in str(exc)
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_matcher_agrees_with_pauli_expansion(data, n):
+    text, swapped = data.draw(_product_texts(n))
+    other, _ = data.draw(_product_texts(n))
+    op = parse_operator(text, n)
+    for target_text in filter(None, (text, swapped, other)):
+        target = parse_operator(target_text, n)
+        assert _matched(op, target) == op.expr().isclose(target.expr(), tol=1e-10)
+
+
+@pytest.mark.parametrize("n,same", [(2, True), (3, False), (4, True)])
+def test_matcher_pairs_sign_flips(n, same):
+    # (X-Z)/r2 = -(Z-X)/r2 on every factor: the products agree on an even qubit count
+    op = parse_operator(f"[(X-Z)/r2]x{n}", n)
+    target = parse_operator(f"[(Z-X)/r2]x{n}", n)
+    assert _matched(op, target) is same
+    assert op.expr().isclose(target.expr(), tol=1e-10) is same
+    pair = f"[(X-Z)/r2]_1,{n}", f"[(Z-X)/r2]_1,{n}"
+    assert _matched(parse_operator(pair[0], n), parse_operator(pair[1], n))
+
+
+def test_records_are_never_expanded(tmp_path, monkeypatch):
+    plan = fidelity_settings("D4")  # its reconstruction expands each combo product once
+    w = load_paper_witness("D4", 5)
+    rho = states.density(states.make_state("D4"))
+    texts = [text for _, text in plan.record_combo]
+    words = [word for _, group in plan_settings(w.expr) for word in group]
+    calls = []
+    original = ProductOp.expr
+
+    def spy(self):
+        calls.append(self.text)
+        return original(self)
+
+    monkeypatch.setattr(ProductOp, "expr", spy)
+    tables = simulate_counts(rho, plan.settings, 1000, seed=0)
+    records = estimate_expectations(tables, [parse_operator(t, 4) for t in texts])
+    path = tmp_path / "records.csv"
+    with open(path, "w", newline="") as fh:
+        write_expectation_csv(fh, records)
+    records = read_expectation_csv(path, 4)
+    combine_plan(records, plan)
+    wtables = simulate_counts(rho, [s for s, _ in plan_settings(w.expr)], 1000, seed=1)
+    combine(estimate_expectations(wtables, [parse_operator(t, 4) for t in words]), w.expr)
+    assert calls == []
 
 
 # --- file round-trips --------------------------------------------------------
@@ -440,7 +519,7 @@ def test_expectation_csv_roundtrip(tmp_path):
     texts = ["Z1Z2", "[(Z+X)/r2]_1,3", "[(Z-Y)/r2]x3", "XXX"]
     ops = [parse_operator(t, 3) for t in texts]
     records = [
-        ExpectationRecord(op.expr(), value=0.1 * k - 0.05, sigma=0.01 * k, product=op)
+        ExpectationRecord(op, value=0.1 * k - 0.05, sigma=0.01 * k)
         for k, op in enumerate(ops)
     ]
     path = tmp_path / "exp.csv"
@@ -452,13 +531,7 @@ def test_expectation_csv_roundtrip(tmp_path):
         assert re_read.product.text == orig.product.text
         assert re_read.value == orig.value  # repr round-trips floats exactly
         assert re_read.sigma == orig.sigma
-        assert re_read.operator.isclose(orig.operator)
-
-
-def test_write_expectation_csv_requires_product(tmp_path):
-    rec = ExpectationRecord(ObservableExpr(2, {"ZZ": 1.0}), 0.5, 0.1)
-    with open(tmp_path / "x.csv", "w", newline="") as fh, pytest.raises(ValueError):
-        write_expectation_csv(fh, [rec])
+        assert re_read.product.expr().isclose(orig.product.expr())
 
 
 def test_read_expectation_csv_header_check(tmp_path):
@@ -470,7 +543,7 @@ def test_read_expectation_csv_header_check(tmp_path):
 
 def test_expectation_record_sigma_validation():
     with pytest.raises(ValueError):
-        ExpectationRecord(ObservableExpr(1, {"Z": 1.0}), 0.5, -0.1)
+        ExpectationRecord(parse_operator("Z", 1), 0.5, -0.1)
 
 
 def test_count_files_roundtrip(tmp_path):
