@@ -16,6 +16,7 @@ component, either as is or negated, with an even number of negated axes:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import re
@@ -374,8 +375,13 @@ def combine(records, expr: ObservableExpr) -> tuple[float, float]:
 
 def combine_plan(records, plan: "FidelityPlan") -> tuple[float, float]:
     """Fidelity estimate from one record per product of the plan's record combination."""
-    targets = [(coeff, parse_operator(text, plan.n)) for coeff, text in plan.record_combo]
-    return _combine(records, targets, plan.constant)
+    return _combine(records, _plan_targets(plan.n, plan.record_combo), plan.constant)
+
+
+@functools.lru_cache(maxsize=16)
+def _plan_targets(n: int, record_combo: tuple) -> tuple:
+    """The (coefficient, ProductOp) targets of a record combination, parsed once."""
+    return tuple((coeff, parse_operator(text, n)) for coeff, text in record_combo)
 
 
 # --- fidelity measurement plans ------------------------------------------

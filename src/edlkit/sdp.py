@@ -44,6 +44,24 @@ each block has 2^n(2^n+1)/2 real coordinates instead of 4^n, its matrices
 are real, and T_A is a plain permutation. Complex inputs keep the full
 Hermitian basis. The input alone decides; there is no option.
 
+Sign symmetries are reduced the same way. Let V be the F2-span of the ket
+XORs i^j over the nonzero entries rho_ij (for synthesis), or of the X/Y bit
+masks of the witness's words with nonzero coefficients (for the margin
+solves; the coefficients decide, not the rounded matrix). For every mask s
+orthogonal to V, conjugation by the diagonal Pauli product Z^s fixes the
+input, fixes every family support, commutes with every T_A (Z^s is real and
+diagonal, and T_A keeps i^j) and fixes the feasible starts; it multiplies
+an entry (i, j) by (-1)^(s.(i^j)). So every iterate has entries only where
+i^j lies in V, and the free words whose X/Y mask is outside V have
+coefficient zero (their targets are exactly zero). The blocks keep only the
+diagonal and the upper entries with i^j in V, in the basis of the full
+one's coordinates at those entries: T_A permutes them and the curvature
+there is the principal submatrix of the full one. W_n, Dicke and the linear
+cluster at n=4 keep 72, 72 and 40 of 136 real coordinates; GHZ5 keeps 48
+of 528. A random state reaches every mask and keeps the full basis; a
+complex input keeps its Im coordinates on the kept entries. The input alone
+decides.
+
 Qubit permutations are reduced the same way. ``synthesize`` first reads the
 group G of qubit permutations that map the family to itself as a set of
 subsets and leave rho exactly unchanged (entrywise equality of the permuted
@@ -183,7 +201,8 @@ _SQRT2 = np.sqrt(2.0)
 
 class _EntryBasis:
     """Orthonormal real entry basis of the Hermitian 2^n x 2^n matrices, or
-    of the real symmetric ones.
+    of the real symmetric ones, restricted to the entries (i, j) whose ket
+    XOR i^j lies in ``span`` (every entry when ``span`` is None).
 
     Coordinates of M: the diagonal M[i,i], then sqrt2*Re M[i,j] and then
     sqrt2*Im M[i,j] over the strict upper triangle i < j, row-major. The basis
@@ -197,16 +216,28 @@ class _EntryBasis:
     leading diag/Re part of the Hermitian one. The solvers use it when their
     input is real (see the module docstring).
 
+    With ``span`` (a set of ket XORs closed under XOR) only the diagonal and
+    the upper entries with i^j in the span are kept: m of them, d + m
+    coordinates (real) or d + 2m (Hermitian). The kept coordinates are those
+    of the full basis at these entries, in the same order; ``coords`` ignores
+    the other entries and ``matrix`` leaves them zero. The solvers use it
+    for the sign symmetries of their input (see the module docstring).
+
     Each coordinate belongs to one matrix-unit pair (a, b): the diagonal
     coordinates to (i, i), both coordinates of an upper entry to (i, j).
     ``pairs`` holds those flat positions a*d + b, diagonal then upper.
     """
 
-    def __init__(self, n: int, real: bool = False):
+    def __init__(self, n: int, real: bool = False, span: frozenset[int] | None = None):
         d = 2**n
         iu, ju = np.triu_indices(d, 1)
-        self.d, self.m, self.real = d, iu.size, real
-        self.size = d + iu.size if real else d * d
+        if span is not None:
+            inside = np.zeros(d, dtype=bool)
+            inside[list(span)] = True
+            keep = inside[iu ^ ju]
+            iu, ju = iu[keep], ju[keep]
+        self.d, self.m, self.real, self.span = d, iu.size, real, span
+        self.size = d + iu.size if real else d + 2 * iu.size
         self.diag = np.arange(d) * (d + 1)
         self.upper = iu * d + ju
         self.lower = ju * d + iu
@@ -239,8 +270,10 @@ class _PartialTranspose:
     T_A only moves matrix entries, so it permutes the coordinates; an upper
     entry moved below the diagonal is read back conjugated, which flips the
     sign of its Im coordinate. In the real basis there are no Im coordinates,
-    so every sign is +1 and T_A is a plain permutation. ``pairs`` is the
-    basis' pairs moved by T_A.
+    so every sign is +1 and T_A is a plain permutation. T_A swaps the bits
+    of A between row and column, which keeps i^j: the kept entries of a
+    basis with a span are moved onto kept entries. ``pairs`` is the basis'
+    pairs moved by T_A.
     """
 
     def __init__(self, basis: _EntryBasis, part: frozenset[int]):
@@ -323,13 +356,45 @@ def _curvature(basis: _EntryBasis, blocks) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=12)
-def _entry_basis(n: int, real: bool = False) -> _EntryBasis:
-    return _EntryBasis(n, real)
+def _entry_basis(n: int, real: bool = False, span: frozenset[int] | None = None) -> _EntryBasis:
+    return _EntryBasis(n, real, span)
 
 
 @functools.lru_cache(maxsize=64)
-def _partial_transpose(n: int, part: frozenset[int], real: bool = False) -> _PartialTranspose:
-    return _PartialTranspose(_entry_basis(n, real), part)
+def _partial_transpose(
+    n: int, part: frozenset[int], real: bool = False, span: frozenset[int] | None = None
+) -> _PartialTranspose:
+    return _PartialTranspose(_entry_basis(n, real, span), part)
+
+
+_X_BITS = str.maketrans("IXYZ", "0110")
+
+
+def _x_mask(word: str) -> int:
+    """The ket XOR a Pauli word applies: one bit per X or Y letter, qubit 1
+    most significant. The word's matrix has entries only at i^j = mask."""
+    return int(word.translate(_X_BITS), 2)
+
+
+def _xor_span(masks) -> frozenset[int]:
+    """The F2-span of a collection of ket XOR masks (0 included)."""
+    span = {0}
+    for x in masks:
+        if x not in span:
+            span |= {v ^ x for v in span}
+    return frozenset(span)
+
+
+def _ket_span(rho: np.ndarray) -> frozenset[int]:
+    """The span of the ket XORs i^j over the nonzero entries of rho."""
+    rows, cols = np.nonzero(rho)
+    return _xor_span(np.unique(rows ^ cols).tolist())
+
+
+def _witness_span(expr: ObservableExpr) -> frozenset[int]:
+    """The span of the X/Y masks of the witness's words; the coefficients
+    decide (a word is there when its coefficient is nonzero)."""
+    return _xor_span(_x_mask(w) for w in expr.terms)
 
 
 def _qubit_symmetries(rho: np.ndarray, family) -> tuple[tuple[int, ...], ...]:
@@ -471,20 +536,26 @@ def synthesize(
     """Solve the synthesis program; negative alpha means the family detects rho."""
     problem = build_problem(rho, family)
     real = not np.any(np.imag(rho))
-    return _synthesize(problem, real, _qubit_symmetries(rho, family), tol)
+    return _synthesize(problem, real, _ket_span(rho), _qubit_symmetries(rho, family), tol)
 
 
 def _synthesize(
-    problem: SdpProblem, real: bool, group, tol: SolverTolerances
+    problem: SdpProblem, real: bool, span: frozenset[int], group, tol: SolverTolerances
 ) -> SynthesisResult:
-    """The barrier method on the program reduced by a group of qubit
-    permutations that fixes it; the trivial group gives the full program."""
+    """The barrier method on the program reduced to the entries with ket
+    XOR in ``span`` and by a group of qubit permutations that fixes it; the
+    span of all 2^n masks and the trivial group give the full program."""
     n, d = problem.n, problem.dim
     # A real rho is solved in the real symmetric subspace, where the words
-    # with an odd number of Y letters (the imaginary ones) have no place.
-    basis = _entry_basis(n, real)
+    # with an odd number of Y letters (the imaginary ones) have no place; a
+    # word whose X/Y mask is outside the span reaches no kept entry.
+    basis = _entry_basis(n, real, span)
     parts = problem.bipartitions
-    kept = [k for k, w in enumerate(problem.free_words) if not real or w.count("Y") % 2 == 0]
+    kept = [
+        k
+        for k, w in enumerate(problem.free_words)
+        if _x_mask(w) in span and not (real and w.count("Y") % 2)
+    ]
     free_idx = np.array([pauli.word_index(problem.free_words[k]) for k in kept], dtype=int)
     c = problem.target_vector[kept]
 
@@ -500,7 +571,7 @@ def _synthesize(
         return np.add.reduceat(x, starts, axis=0)
 
     reps, weights, origin = _cut_orbits(n, parts, group)
-    transposes = [_partial_transpose(n, parts[i], real) for i in reps]
+    transposes = [_partial_transpose(n, parts[i], real, span) for i in reps]
     signs = np.stack([pauli.pt_signs(n, parts[i])[free_idx] for i in reps])
     c_orb = orbit_sum(c)
     norb = c_orb.size
@@ -623,7 +694,9 @@ def verify_witness(
     decomposition exists iff the optimal margin is nonnegative (up to the
     feasibility tolerance).
     """
-    splits = _margin_splits(expr, _witness_symmetries(expr), tol, reject_below=-tol.feas)
+    splits = _margin_splits(
+        expr, _witness_span(expr), _witness_symmetries(expr), tol, reject_below=-tol.feas
+    )
     if splits is None:
         return None
     return {part: (p_mat, q_mat) for part, (_, _, p_mat, q_mat) in splits.items()}
@@ -640,26 +713,31 @@ def decomposition_margins(
     was established). A witness admits PSD certificates exactly when every
     best-found margin clears -tol.feas.
     """
-    splits = _margin_splits(expr, _witness_symmetries(expr), tol)
+    splits = _margin_splits(expr, _witness_span(expr), _witness_symmetries(expr), tol)
     return {part: (achieved, bound) for part, (achieved, bound, _, _) in splits.items()}
 
 
-def _margin_splits(expr: ObservableExpr, group, tol: SolverTolerances, reject_below=-np.inf):
+def _margin_splits(
+    expr: ObservableExpr, span, group, tol: SolverTolerances, reject_below=-np.inf
+):
     """(achieved, bound, P, Q) for every canonical bipartition, from one margin
     program per cut orbit of a group of qubit permutations that fixes the
-    witness's coefficients; the trivial group solves every cut. None as soon
-    as a representative's achieved margin falls below ``reject_below``.
+    witness's coefficients, each on the entries with ket XOR in ``span`` (a
+    span that holds the X/Y masks of the witness's words); the span of all
+    2^n masks and the trivial group solve the full program on every cut.
+    None as soon as a representative's achieved margin falls below
+    ``reject_below``.
 
     A cut B of an orbit gets the carried split of its representative, its
     achieved margin read off its own matrices and the representative's bound.
     """
-    n, basis, xw = _witness_coords(expr)
+    n, basis, xw = _witness_coords(expr, span)
     parts = pauli.bipartitions(n)
     reps, _, origin = _cut_orbits(n, parts, group)
     solved = []
     for i in reps:
         achieved, bound, p_mat = _max_margin_split(
-            xw, basis, _partial_transpose(n, parts[i], basis.real), tol
+            xw, basis, _partial_transpose(n, parts[i], basis.real, span), tol
         )
         if achieved < reject_below:
             return None
@@ -683,7 +761,7 @@ def _carried_split(basis, w_entry, p_rep, part, g):
     # (U_g P U_g^T)[i, j] = P[k_i, k_j] with k the kets of the inverse of g
     kets = _ket_permutation(tuple(g.index(q) for q in range(len(g))))
     p_mat = p_rep[np.ix_(kets, kets)]
-    pt = _partial_transpose(len(g), part, basis.real)
+    pt = _partial_transpose(len(g), part, basis.real, basis.span)
     return p_mat, basis.matrix(pt(w_entry - basis.coords(p_mat)))
 
 
@@ -692,12 +770,13 @@ def _split_margin(p_mat: np.ndarray, q_mat: np.ndarray) -> float:
     return float(min(np.linalg.eigvalsh(p_mat)[0], np.linalg.eigvalsh(q_mat)[0]))
 
 
-def _witness_coords(expr: ObservableExpr):
-    """(n, basis, entry coordinates) of a witness; the real basis for a real one."""
+def _witness_coords(expr: ObservableExpr, span):
+    """(n, basis, entry coordinates) of a witness in the basis of the entries
+    with ket XOR in ``span``; the real basis for a real witness."""
     if expr.trace() <= 0:
         raise ValueError("expression must have positive trace")
     w_mat = expr.matrix()
-    basis = _entry_basis(expr.n, not np.any(w_mat.imag))
+    basis = _entry_basis(expr.n, not np.any(w_mat.imag), span)
     return expr.n, basis, basis.coords(w_mat)
 
 

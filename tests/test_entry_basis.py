@@ -1,7 +1,9 @@
 """The barrier kernel in the real entry basis, checked against dense Pauli-basis
 formulas: gradient Tr(M^-1 P_p), curvature Tr(M^-1 P_p M^-1 P_q), and the
-partial transpose as a signed permutation of coordinates; and the real
-symmetric basis as the leading diag/Re part of the Hermitian one."""
+partial transpose as a signed permutation of coordinates; the real
+symmetric basis as the leading diag/Re part of the Hermitian one; and the
+basis restricted to a span of ket XORs as the full basis at the kept
+entries."""
 
 import numpy as np
 import pytest
@@ -193,3 +195,72 @@ def test_real_curvature_is_the_leading_block_of_the_full_one(seed, n):
         rest = slice(real.size, None)
         assert np.max(np.abs(k_full[lead, rest]), initial=0.0) == 0.0
         assert np.max(np.abs(k_full[rest, lead]), initial=0.0) == 0.0
+
+
+@st.composite
+def _spans(draw):
+    """(n, span) with the span of 1-3 random nonzero ket XOR masks."""
+    n = draw(st.integers(2, 4))
+    generators = draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=3))
+    return n, sdp._xor_span(generators)
+
+
+def _on_span(mat, span):
+    """The matrix with every entry whose ket XOR lies outside the span zeroed."""
+    rows, cols = np.indices(mat.shape)
+    return np.where(np.isin(rows ^ cols, list(span)), mat, 0)
+
+
+def _kept_positions(full, sub):
+    """Indices into the full basis' coordinates of the restricted basis' ones."""
+    slot = np.empty(full.d * full.d, dtype=np.intp)
+    slot[full.upper] = np.arange(full.m)
+    up = slot[sub.upper]
+    parts = [np.arange(full.d), full.d + up]
+    if not sub.real:
+        parts.append(full.d + full.m + up)
+    return np.concatenate(parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_spans(), real=st.booleans(), seed=SEEDS)
+def test_span_basis_is_the_full_basis_at_the_kept_entries(case, real, seed):
+    n, span = case
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    sub, full = sdp._entry_basis(n, real, span), sdp._entry_basis(n, real)
+    kept = _kept_positions(full, sub)
+    nonzero = sum(1 for x in span if x)
+    assert sub.m == nonzero * d // 2  # each nonzero mask pairs up the d kets
+    assert sub.size == (d + sub.m if real else d + 2 * sub.m)
+    h = _on_span(rng.standard_normal((d, d)) if real else _random_hermitian(rng, d), span)
+    h = h + h.T if real else h
+    x = sub.coords(h)
+    assert x.shape == (sub.size,)
+    assert np.array_equal(x, full.coords(h)[kept])
+    assert _rel_err(sub.matrix(x), h) < 1e-15
+    y = rng.standard_normal(sub.size)
+    assert _rel_err(sub.coords(sub.matrix(y)), y) < 1e-15
+    for part in pauli.bipartitions(n):
+        pt, pt_full = sdp._partial_transpose(n, part, real, span), sdp._partial_transpose(n, part, real)
+        assert sorted(pt.perm) == list(range(sub.size))  # onto the kept coordinates
+        assert np.array_equal(pt(x), pt_full(full.coords(h))[kept])
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=_spans(), real=st.booleans(), seed=SEEDS)
+def test_span_curvature_is_the_principal_submatrix_of_the_full_one(case, real, seed):
+    n, span = case
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    sub, full = sdp._entry_basis(n, real, span), sdp._entry_basis(n, real)
+    kept = _kept_positions(full, sub)
+    draw = _random_real_pd if real else _random_pd
+    inv_p = np.linalg.inv(_on_span(draw(rng, d), span))
+    inv_q = np.linalg.inv(_on_span(draw(rng, d), span))
+    for part in pauli.bipartitions(n):
+        pt, pt_full = sdp._partial_transpose(n, part, real, span), sdp._partial_transpose(n, part, real)
+        k_sub = sdp._curvature(sub, ((inv_p, sub.pairs), (inv_q, pt.pairs)))
+        k_full = sdp._curvature(full, ((inv_p, full.pairs), (inv_q, pt_full.pairs)))
+        assert k_sub.shape == (sub.size, sub.size)
+        assert _rel_err(k_sub, k_full[np.ix_(kept, kept)]) < 1e-13

@@ -373,6 +373,25 @@ def test_combine_plan_exact_stabilizer_state_has_zero_error():
     assert sigma == 0.0
 
 
+def test_combine_plan_parses_each_plan_once(monkeypatch):
+    from edlkit import measure
+
+    plan = fidelity_settings("D4")
+    rho = states.density(states.make_state("D4"))
+    tables = simulate_counts(rho, plan.settings, 1000, seed=0)
+    records = estimate_expectations(
+        tables, [parse_operator(text, plan.n) for _, text in plan.record_combo]
+    )
+    first = combine_plan(records, plan)  # parses the plan at most this once
+    equal = fidelity_settings("D4")  # a new plan object with the same combination
+    parsed = []
+    parse = measure.parse_operator
+    monkeypatch.setattr(measure, "parse_operator", lambda *a: parsed.append(a) or parse(*a))
+    assert combine_plan(records, plan) == first
+    assert combine_plan(records, equal) == first
+    assert parsed == []
+
+
 def test_combine_plan_needs_exactly_one_match():
     plan = fidelity_settings("W3")
     with pytest.raises(ValueError):

@@ -283,25 +283,62 @@ def test_complex_c4_keeps_its_pair_of_triples_optimum():
     assert _odd_y_words(result.solution.witness_expr)
 
 
+def _full_span(n):
+    return frozenset(range(2**n))
+
+
 def _unreduced(rho, family):
-    """The full program: the solver's seam called with the trivial group."""
+    """The full program: the solver's seam called with the span of all 2^n
+    ket XOR masks and the trivial group."""
     n = rho.shape[0].bit_length() - 1
     problem = build_problem(rho, family)
     return sdp_module._synthesize(
-        problem, not np.any(rho.imag), (tuple(range(n)),), SolverTolerances()
+        problem, not np.any(rho.imag), _full_span(n), (tuple(range(n)),), SolverTolerances()
     )
 
 
+def _ghz(n):
+    psi = np.zeros(2**n)
+    psi[[0, -1]] = 1 / np.sqrt(2)
+    return states.density(psi)
+
+
+# A planted span for the masked random state: spanned by 0011 and 0110,
+# so it holds neither every even-weight mask nor any odd-weight one.
+PLANTED = (0b0011, 0b0110)
+
+
+def _masked_random(seed, n, generators):
+    """A seeded random mixed state with every entry whose ket XOR lies
+    outside the span of ``generators`` set to zero. The mask is PSD (one
+    all-ones block per coset of the span), so by the Schur product theorem
+    the masked matrix is a state too."""
+    span = sdp_module._xor_span(generators)
+    rho = _random_density(seed, n)
+    rows, cols = np.indices(rho.shape)
+    return np.where(np.isin(rows ^ cols, list(span)), rho, 0)
+
+
+def _case_rho(state):
+    if state.startswith("GHZ"):
+        return _ghz(int(state[3:]))
+    if state == "masked":
+        return _masked_random(5, 4, PLANTED)
+    return states.density(states.make_state(state))
+
+
 def _equivalence_cases():
-    # every synth-table solve (the summary rows and the C4 deviation family)
-    # and every all-k family of the four reference states, each once
+    # every synth-table solve (the summary rows and the C4 deviation family),
+    # every all-k family of the four reference states and of GHZ3 and GHZ4,
+    # each once, and the masked random state on the all-pairs family
     from test_acceptance import SUMMARY_ROWS
 
     cases = [(state, frozenset(family)) for state, family, _, _ in SUMMARY_ROWS]
     cases.append(("C4", frozenset({frozenset({1, 2, 4}), frozenset({1, 3, 4})})))
-    for state in ("W3", "W4", "D4", "C4"):
-        n = 3 if state == "W3" else 4
+    for state in ("W3", "W4", "D4", "C4", "GHZ3", "GHZ4"):
+        n = 3 if state.endswith("3") else 4
         cases += [(state, frozenset(all_k_family(n, k))) for k in range(1, n + 1)]
+    cases.append(("masked", frozenset(all_k_family(4, 2))))
     return list(dict.fromkeys(cases))
 
 
@@ -319,7 +356,7 @@ def _permuted_word(word, g):
 def test_symmetry_reduction_matches_the_full_program(case):
     state, family = case
     family = sorted(family, key=sorted)
-    rho = states.density(states.make_state(state))
+    rho = _case_rho(state)
     n = rho.shape[0].bit_length() - 1
     reduced = synthesize(rho, family)
     full = _unreduced(rho, family)
@@ -339,6 +376,42 @@ def test_symmetry_reduction_matches_the_full_program(case):
     for word, coeff in expr.terms.items():
         for g in group:
             assert expr.terms.get(_permuted_word(word, g)) == coeff
+
+
+@pytest.mark.parametrize("state, size", [("W3", 20), ("W4", 72), ("D4", 72), ("C4", 40)])
+def test_sign_symmetry_basis_sizes(state, size):
+    # the diagonal plus the upper entries whose ket XOR lies in the span,
+    # against 2^n(2^n+1)/2 = 36 (n=3) and 136 (n=4) in the full real basis
+    rho = states.density(states.make_state(state))
+    n = rho.shape[0].bit_length() - 1
+    assert sdp_module._entry_basis(n, True, sdp_module._ket_span(rho)).size == size
+
+
+def test_one_entry_outside_the_span_gives_the_full_basis(monkeypatch):
+    # noisy W4 plus one coherence between |0000> and |0001>, whose ket XOR
+    # 0001 has odd weight: the span becomes every mask
+    rho = 0.9 * states.density(states.make_state("W4")) + 0.1 * np.eye(16) / 16
+    rho[0, 1] = rho[1, 0] = 1e-3
+    assert np.linalg.eigvalsh(rho)[0] > 0
+    assert sdp_module._ket_span(rho) == _full_span(4)
+    sizes = []
+    entry_basis = sdp_module._entry_basis
+
+    def spy(*args):
+        basis = entry_basis(*args)
+        sizes.append(basis.size)
+        return basis
+
+    monkeypatch.setattr(sdp_module, "_entry_basis", spy)
+    with pytest.raises(SolverError):  # the basis is built before the budget stops
+        synthesize(rho, all_k_family(4, 2), SolverTolerances(max_iter=0))
+    assert sizes and set(sizes) == {136}
+
+
+def test_masked_random_state_has_the_planted_span():
+    rho = _case_rho("masked")
+    assert np.linalg.eigvalsh(rho)[0] > 0 and np.any(rho.imag)
+    assert sdp_module._ket_span(rho) == {0b0000, 0b0011, 0b0110, 0b0101}
 
 
 def _random_density(seed, n):
@@ -405,8 +478,10 @@ def _margin_witnesses():
 def test_margin_reduction_matches_the_full_program(expr):
     tol = SolverTolerances()
     n = expr.n
-    reduced = sdp_module._margin_splits(expr, sdp_module._witness_symmetries(expr), tol)
-    full = sdp_module._margin_splits(expr, (tuple(range(n)),), tol)
+    reduced = sdp_module._margin_splits(
+        expr, sdp_module._witness_span(expr), sdp_module._witness_symmetries(expr), tol
+    )
+    full = sdp_module._margin_splits(expr, _full_span(n), (tuple(range(n)),), tol)
     assert set(reduced) == set(full) == set(pauli.bipartitions(n))
     w_mat = expr.matrix()
     for part, (achieved, bound, p_mat, q_mat) in reduced.items():
