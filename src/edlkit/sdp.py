@@ -20,15 +20,24 @@ Kronecker product of Alizadeh, Haeberly & Overton, SIAM J. Optim. 8, 1998),
 assembled entrywise in O(16^n) with no 4^n x 4^n matrix product. Newton
 steps are affine invariant, so the basis choice changes only rounding.
 
-Both programs follow one path policy, written once: the stage schedule
-``_stages`` (t = 1, then 100 times the last up to 2*nu/gap; the final stage,
-the first with nu/t <= gap, is centered to a squared decrement of 1e-10, the
-others to 0.04), the step budget ``_StepBudget`` (60 Newton steps per stage,
-``max_iter`` taken in all) and the damped step ``_damped_step`` (decrement
-clamp, float-noise floor, Armijo backtracking). Each program keeps its merit,
-its inline Newton assembly, its stopping rules and its reaction to a singular
-system or a failed line search: synthesis accepts the first as centered and
-raises on the second; the margin solver marks the stage stalled for either.
+Both programs are one program form, solved by one engine,
+``_barrier_path``: minimize c.y subject to x0 + sum_o y_o S_o = P_A +
+Q_A^{T_A} with P_A, Q_A PSD on every cut block A, where each S_o is a sum
+of phased permutation matrices that T_A maps to signed copies of
+themselves. Synthesis has x0 = I/2^n, one S_o per word orbit (the orbit's
+Pauli words) and the objective Tr(W rho). The margin program (maximize
+lambda with P_A, Q_A >= lambda*I) takes this form under the substitution
+P' = P - lambda*I, Q' = Q - lambda*I: T_A fixes I, so W - 2*lambda*I = P' +
+Q'^{T_A}, with x0 = W, one direction S = -2I, c = (-1) and one cut. The
+engine follows the path ``_stages`` (t = 1, then 100 times the last up to
+2*nu/gap; the final stage, the first with nu/t <= gap, is centered to a
+squared decrement of 1e-10, the others to 0.04) with at most 60 damped
+Newton steps per stage and ``max_iter`` in all, and reports how each stage
+ended: centered, singular (the Newton system was numerically singular, or
+roundoff made the squared decrement negative) or failed (no Armijo step).
+Synthesis takes a singular stage as centered and raises on a failed one;
+the margin program marks either stage stalled, so no bound is certified
+from it.
 
 Real inputs are solved in the real symmetric subspace. When rho (for
 synthesis) or the witness matrix (for the margin solves) has an exactly
@@ -243,15 +252,14 @@ class _EntryBasis:
         self.lower = ju * d + iu
         self.pairs = np.concatenate([self.diag, self.upper])
         self.identity = np.concatenate([np.ones(d), np.zeros(self.size - d)])
+        self.scale = np.concatenate([np.ones(d), np.full(self.size - d, _SQRT2)])
 
     def coords(self, m: np.ndarray) -> np.ndarray:
         """Entry coordinates of a Hermitian matrix, or of a stack of them."""
-        flat = m.reshape(*m.shape[:-2], self.d * self.d)
-        up = flat[..., self.upper]
-        parts = [flat[..., self.diag].real, _SQRT2 * up.real]
+        z = m.reshape(*m.shape[:-2], self.d * self.d)[..., self.pairs]
         if not self.real:
-            parts.append(_SQRT2 * up.imag)
-        return np.concatenate(parts, axis=-1)
+            z = np.concatenate([z.real, z[..., self.d :].imag], axis=-1)
+        return self.scale * z.real
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`coords` for one coordinate vector."""
@@ -300,7 +308,7 @@ class _PartialTranspose:
 
 
 def _chol_logdet(chol: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
+    return 2.0 * float(np.log(chol.diagonal().real).sum())
 
 
 def _cholesky(basis: _EntryBasis, x: np.ndarray) -> np.ndarray | None:
@@ -331,7 +339,7 @@ def _curvature(basis: _EntryBasis, blocks) -> np.ndarray:
     d, m = basis.d, basis.m
     z_pairs = z_swapped = 0.0
     for inv, pairs in blocks:
-        a, b = pairs // d, pairs % d
+        a, b = np.divmod(pairs, d)
         rows_b = inv[b]
         g = rows_b[:, a]
         z_pairs = z_pairs + g * g.T  # Z at pairs (a, b), (c, d)
@@ -489,45 +497,147 @@ def _stages(nu: float, gap: float):
     yield t, 1e-10
 
 
-class _StepBudget:
-    """At most 60 Newton steps per stage and ``max_iter`` steps taken in all."""
+class _Program:
+    """One program of the synthesis form: minimize c.y over y and one block
+    r_a per cut block a, the barrier terms of block a weighted by
+    ``weights[a]``, subject to
 
-    def __init__(self, max_iter: int):
-        self.max_iter, self.taken = max_iter, 0
+        P_a = r_a >= 0  and  Q_a = T_a(x0 + y @ sums - r_a) >= 0.
 
-    def stage(self) -> range:
-        return range(60)
+    The directions are orbit sums of phased permutation matrices: word f has
+    the entries ``phases[f, i]`` at (i, ``cols[f, i]``), orbit o adds up the
+    words ``starts[o]`` to ``starts[o+1]-1``, and T_a maps word f to
+    ``signs[a, f]`` times itself. ``x0`` is in entry coordinates of
+    ``basis``, the objective is given per word (``c`` holds its orbit sums)
+    and ``nu`` is the barrier parameter of the path.
+    """
 
-    def check(self, gap: float) -> None:
-        if self.taken >= self.max_iter:
-            raise SolverError(
-                f"no convergence after {self.max_iter} Newton iterations", last_gap=gap
-            )
+    def __init__(self, basis, transposes, weights, signs, cols, phases, starts, x0, c, nu):
+        self.basis, self.transposes = basis, transposes
+        self.weights = tuple(map(float, weights))
+        self.signs, self.cols, self.x0, self.nu = signs, cols, x0, nu
+        word_mats = np.zeros((cols.shape[0], basis.d, basis.d), dtype=phases.dtype)
+        np.put_along_axis(word_mats, cols[:, :, None], phases[:, :, None], axis=2)
+        self.words = basis.coords(word_mats)
+        if starts.size == cols.shape[0]:
+            self.orbit_sum = lambda x: x  # every orbit is one word
+        else:
+            self.orbit_sum = functools.partial(np.add.reduceat, indices=starts, axis=0)
+        self.sums = self.orbit_sum(self.words)
+        self.c = self.orbit_sum(c)
+        # T_a of each word as a phased permutation: signs[a, f] * phases[f]
+        self.moved_phases = (signs[:, :, None] * phases)[..., None]
 
 
-def _damped_step(lam2, base, center_tol, budget, gap, merit):
-    """Damped Newton step from a point of merit ``base`` along a direction of
-    squared decrement ``lam2``; ``merit(s)`` gives the merit and the blocks'
-    Cholesky factors at step length s ((inf, None) outside the cones).
-    Returns "centered", "failed" (no Armijo step down to 1e-12), or the step
-    length and the new point's factors. ``gap`` is the stage's bound, for
-    the error raised when a step is due and the budget is spent."""
-    if not np.isfinite(lam2) or lam2 < 0:
-        lam2 = 0.0  # curvature lost to roundoff: accept as centered
-    # Progress below the float resolution of the merit is indistinguishable
-    # from noise, so such a point counts as centered too.
-    noise = 1e-13 * (1.0 + abs(base))
-    if lam2 <= center_tol or 0.25 * lam2 <= noise:
-        return "centered"
-    budget.check(gap)
-    step = 1.0
-    while step > 1e-12:
-        cand, factors = merit(step)
-        if cand <= base - 0.25 * step * lam2 + noise:
-            budget.taken += 1
-            return step, factors
-        step *= 0.5
-    return "failed"
+def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_iter: int):
+    """Follow the central path of ``prog`` from the strictly feasible (y, r).
+
+    Newton-centers psi_t(y, r) = t*(c.y) - sum_a m_a [logdet P_a + logdet Q_a]
+    stage by stage (``_stages(prog.nu, gap)``), the blocks eliminated into a
+    Schur system on y, with at most 60 damped Newton steps per stage and
+    ``max_iter`` in all (a step due after that raises ``SolverError``). After
+    each stage it yields (t, event, y, r, steps), with ``steps`` the Newton
+    steps taken so far and ``event``:
+
+    - "centered": the stage centered, or its 60 steps ran out;
+    - "singular": the Newton system was numerically singular, or roundoff
+      made the squared decrement negative or non-finite;
+    - "failed": no Armijo step was found down to a step length of 1e-12.
+
+    The caller stops the path by asking for no further stage.
+    """
+    basis, transposes, weights = prog.basis, prog.transposes, prog.weights
+    words, sums, cols, c, x0 = prog.words, prog.sums, prog.cols, prog.c, prog.x0
+    orbit_sum = prog.orbit_sum
+    ny = c.size
+
+    def psi(tb: float, yy: np.ndarray, rr: np.ndarray):
+        """Barrier merit and the blocks' Cholesky factors; (inf, None) outside
+        the cone product."""
+        xw = x0 + yy @ sums
+        total = tb * float(c @ yy)
+        factors = []
+        for a, pt in enumerate(transposes):
+            for x in (rr[a], pt(xw - rr[a])):
+                chol = _cholesky(basis, x)
+                if chol is None:
+                    return np.inf, None
+                total -= weights[a] * _chol_logdet(chol)
+                factors.append(chol)
+        return total, factors
+
+    steps = 0
+    factors = psi(1.0, y, r)[1]  # of the current point, kept from the line search
+    for t, center_tol in _stages(prog.nu, gap):
+        event = "centered"
+        for _ in range(60):
+            grad_y = t * c
+            schur = np.zeros((ny, ny))
+            rhs_y = np.zeros(ny)
+            solves = []
+            gammas = []
+            base = t * float(c @ y)  # psi(t, y, r), summed in psi's order
+            try:
+                for a, pt in enumerate(transposes):
+                    n_p, ld_p = _inverse(factors[2 * a])
+                    n_q, ld_q = _inverse(factors[2 * a + 1])
+                    base -= weights[a] * ld_p
+                    base -= weights[a] * ld_q
+                    g_q = basis.coords(n_q)
+                    gamma = pt(g_q) - basis.coords(n_p)
+                    grad_y -= weights[a] * orbit_sum(prog.signs[a] * (words @ g_q))
+                    b_mat = _curvature(basis, ((n_p, basis.pairs), (n_q, pt.pairs)))
+                    # Coupling T_a K_Q T_a S_o = T_a(N_Q T_a(S_o) N_Q), with
+                    # T_a(S_o) the orbit sum of the words' signed copies.
+                    moved = orbit_sum(prog.moved_phases[a] * n_q[cols])
+                    gf = pt(basis.coords(n_q @ moved)).T
+                    sol = np.linalg.solve(
+                        b_mat, np.concatenate([gamma[:, None], gf], axis=1)
+                    )
+                    # Schur block sums.gf - gf'.b^-1.gf, with the cancelling
+                    # difference taken before the product with the large gf.
+                    schur += weights[a] * ((sums - sol[:, 1:].T) @ gf)
+                    rhs_y -= weights[a] * (gf.T @ sol[:, 0])
+                    solves.append(sol)
+                    gammas.append(gamma)
+                rhs_y -= grad_y
+                if ny == 1 and schur[0, 0]:
+                    dy = rhs_y / schur[0]  # LAPACK's 1x1 solve, without its overhead
+                else:
+                    dy = np.linalg.solve(schur, rhs_y)
+            except np.linalg.LinAlgError:
+                event = "singular"
+                break
+            dr = np.empty_like(r)
+            for a, sol in enumerate(solves):
+                dr[a] = sol[:, 1:] @ dy - sol[:, 0]
+            lam2 = -(grad_y @ dy + sum(m * (g @ s) for m, g, s in zip(weights, gammas, dr)))
+            if not np.isfinite(lam2) or lam2 < 0:
+                event = "singular"  # curvature lost to roundoff
+                break
+            # Progress below the float resolution of the merit is
+            # indistinguishable from noise, so such a point counts as centered.
+            noise = 1e-13 * (1.0 + abs(base))
+            if lam2 <= center_tol or 0.25 * lam2 <= noise:
+                break
+            if steps >= max_iter:
+                raise SolverError(
+                    f"no convergence after {max_iter} Newton iterations", last_gap=prog.nu / t
+                )
+            step = 1.0
+            while step > 1e-12:
+                cand, new_factors = psi(t, y + step * dy, r + step * dr)
+                if cand <= base - 0.25 * step * lam2 + noise:
+                    break
+                step *= 0.5
+            else:
+                event = "failed"
+                break
+            steps += 1
+            factors = new_factors
+            y = y + step * dy
+            r = r + step * dr
+        yield t, event, y, r, steps
 
 
 def synthesize(
@@ -566,107 +676,39 @@ def _synthesize(
     order = np.argsort(orbit, kind="stable")
     free_idx, c, orbit = free_idx[order], c[order], orbit[order]
     starts = np.flatnonzero(np.r_[True, np.diff(orbit) != 0])
-
-    def orbit_sum(x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(x, starts, axis=0)
-
     reps, weights, origin = _cut_orbits(n, parts, group)
-    transposes = [_partial_transpose(n, parts[i], real, span) for i in reps]
-    signs = np.stack([pauli.pt_signs(n, parts[i])[free_idx] for i in reps])
-    c_orb = orbit_sum(c)
-    norb = c_orb.size
 
-    # Free words as phased permutations, and their entry coordinates: the
-    # witness is x_id*I + sum_o v_o S_o with the orbit sums S_o of the words,
-    # in entry coordinates x0 + v @ sums.
+    # Free words as phased permutations: the witness is x_id*I + sum_o v_o S_o
+    # with the orbit sums S_o of the words, and T_A(P_f) = s_f P_f.
     cols, phases = (table[free_idx] for table in pauli.monomial_form(n))
     if real:
         phases = phases.real  # +-1 for the words with an even number of Y letters
-    word_mats = np.zeros((len(kept), d, d), dtype=phases.dtype)
-    np.put_along_axis(word_mats, cols[:, :, None], phases[:, :, None], axis=2)
-    words = basis.coords(word_mats)
-    sums = orbit_sum(words)
-    x0 = problem.identity_coeff * basis.identity
+    prog = _Program(
+        basis,
+        [_partial_transpose(n, parts[i], real, span) for i in reps],
+        weights,
+        np.stack([pauli.pt_signs(n, parts[i])[free_idx] for i in reps]),
+        cols,
+        phases,
+        starts,
+        problem.identity_coeff * basis.identity,
+        c,
+        2.0 * d * len(parts),  # two cones per bipartition
+    )
 
     # Feasible start: W = I/2^n, P_A = Q_A = I/2^(n+1).
-    v = np.zeros(norb)
+    v = np.zeros(prog.c.size)
     r = np.tile(0.5 / d * basis.identity, (len(reps), 1))
-
-    nu = 2.0 * d * len(parts)  # total barrier parameter (two cones per bipartition)
-
-    def psi(tb: float, vv: np.ndarray, rv: np.ndarray):
-        """Barrier merit and the blocks' Cholesky factors; (inf, None) outside
-        the cone product."""
-        xw = x0 + vv @ sums
-        total = tb * float(c_orb @ vv)
-        factors = []
-        for a, pt in enumerate(transposes):
-            for x in (rv[a], pt(xw - rv[a])):
-                chol = _cholesky(basis, x)
-                if chol is None:
-                    return np.inf, None
-                total -= weights[a] * _chol_logdet(chol)
-                factors.append(chol)
-        return total, factors
-
-    budget = _StepBudget(tol.max_iter)
-    factors = psi(1.0, v, r)[1]  # of the current point, kept from the line search
-    for t_barrier, center_tol in _stages(nu, tol.gap):
-        # Newton-center psi_t(v, r) = t*(c.w) - sum_A m_A [logdet P_A + logdet Q_A].
-        for _ in budget.stage():
-            grad_v = t_barrier * c_orb.copy()
-            schur = np.zeros((norb, norb))
-            rhs_v = np.zeros(norb)
-            solves = []
-            gammas = []
-            base = t_barrier * float(c_orb @ v)  # psi(t, v, r), summed in psi's order
-            try:
-                for a, pt in enumerate(transposes):
-                    n_p, ld_p = _inverse(factors[2 * a])
-                    n_q, ld_q = _inverse(factors[2 * a + 1])
-                    base -= weights[a] * ld_p
-                    base -= weights[a] * ld_q
-                    g_q = basis.coords(n_q)
-                    gamma = pt(g_q) - basis.coords(n_p)
-                    grad_v -= weights[a] * orbit_sum(signs[a] * (words @ g_q))
-                    b_mat = _curvature(basis, ((n_p, basis.pairs), (n_q, pt.pairs)))
-                    # Witness coupling T_A K_Q T_A S_o = T_A(N_Q T_A(S_o) N_Q),
-                    # with T_A(S_o) the orbit sum of s_f P_f, as T_A(P_f) = s_f P_f.
-                    moved = orbit_sum((signs[a][:, None] * phases)[:, :, None] * n_q[cols])
-                    gf = pt(basis.coords(n_q @ moved)).T
-                    sol = np.linalg.solve(
-                        b_mat, np.concatenate([gamma[:, None], gf], axis=1)
-                    )
-                    # Schur block sums.gf - gf'.b^-1.gf, with the cancelling
-                    # difference taken before the product with the large gf.
-                    schur += weights[a] * ((sums - sol[:, 1:].T) @ gf)
-                    rhs_v -= weights[a] * (gf.T @ sol[:, 0])
-                    solves.append(sol)
-                    gammas.append(gamma)
-                rhs_v -= grad_v
-                dv = np.linalg.solve(schur, rhs_v)
-            except np.linalg.LinAlgError:
-                break  # curvature numerically singular: accept current center
-            dr = np.stack(
-                [sol[:, 1:] @ dv - sol[:, 0] for sol in solves]
-            )
-            lam2 = -(grad_v @ dv + sum(m * (g @ s) for m, g, s in zip(weights, gammas, dr)))
-            outcome = _damped_step(lam2, base, center_tol, budget, nu / t_barrier,
-                                   lambda s: psi(t_barrier, v + s * dv, r + s * dr))
-            if outcome == "centered":
-                break
-            if outcome == "failed":
-                raise SolverError("line search failed", last_gap=nu / t_barrier)
-            step, factors = outcome
-            v = v + step * dv
-            r = r + step * dr
+    for t_barrier, event, v, r, steps in _barrier_path(prog, v, r, tol.gap, tol.max_iter):
+        if event == "failed":
+            raise SolverError("line search failed", last_gap=prog.nu / t_barrier)
 
     w = v[orbit]  # every word of an orbit carries its orbit's coefficient
     xw = np.zeros(4**n)  # the witness in Pauli coordinates
     xw[0] = problem.identity_coeff
     xw[free_idx] = w
     alpha = float(c @ w + 1.0 / d)  # constant term: Tr((I/2^n) rho) / 2^n * 2^n
-    w_entry = x0 + v @ sums
+    w_entry = prog.x0 + v @ prog.sums
     certificates = {
         part: _carried_split(basis, w_entry, basis.matrix(r[k]), part, g)
         for part, (k, g) in zip(parts, origin)
@@ -676,8 +718,8 @@ def _synthesize(
         witness_expr=expr,
         alpha=alpha,
         certificates=certificates,
-        duality_gap=nu / t_barrier,
-        iterations=budget.taken,
+        duality_gap=prog.nu / t_barrier,
+        iterations=steps,
     )
     detected = alpha < -DETECT_TOL
     p_noise = d * alpha / (d * alpha - 1.0) if detected else None
@@ -788,9 +830,6 @@ def _max_margin_split(xw, basis, pt, tol):
     margin (inf when none was established), and the P block realizing the
     best margin (Q = T_A(W - P)).
     """
-    d = basis.d
-    e0 = basis.identity
-
     # Trivial splits first: all of W on one side. These settle every case
     # whose binding block is exactly PSD (projector witnesses in particular).
     best_margin = -np.inf
@@ -803,83 +842,36 @@ def _max_margin_split(xw, basis, pt, tol):
         if margin >= -tol.feas:
             return margin, np.inf, p_mat
 
-    r = xw / 2.0
-    lam = _split_margin(basis.matrix(r), basis.matrix(pt(xw - r))) - 1.0
-
-    nu = 2.0 * d
+    # Maximize lambda with P, Q >= lambda*I. In P' = P - lambda*I and
+    # Q' = Q - lambda*I (T_A fixes I) this is W - 2*lambda*I = P' + Q'^{T_A},
+    # the synthesis form with x0 = W, one direction -2I, c = (-1) and one cut.
+    d = basis.d
+    prog = _Program(
+        basis, [pt], weights=np.ones(1), signs=np.ones((1, 1)), cols=np.arange(d)[None],
+        phases=np.full((1, d), -2.0), starts=np.zeros(1, dtype=np.intp), x0=xw,
+        c=np.array([-1.0]), nu=2.0 * d,
+    )
+    p = xw / 2.0
+    lam = _split_margin(basis.matrix(p), basis.matrix(pt(xw - p))) - 1.0
+    y, r = np.array([lam]), (p - lam * basis.identity)[None]
     gap_goal = min(tol.gap, 0.25 * tol.feas)  # must resolve margins at feas scale
-
-    def phi(tb, lv, rv):
-        """Barrier merit for the (maximized) margin program, negated, and the
-        blocks' Cholesky factors; (inf, None) outside."""
-        total = -tb * lv
-        factors = []
-        for x in (rv - lv * e0, pt(xw - rv) - lv * e0):
-            chol = _cholesky(basis, x)
-            if chol is None:
-                return np.inf, None
-            total -= _chol_logdet(chol)
-            factors.append(chol)
-        return total, factors
-
-    budget = _StepBudget(tol.max_iter)
-    factors = phi(1.0, lam, r)[1]  # of the current point, kept from the line search
-    for t_barrier, center_tol in _stages(nu, gap_goal):
-        stalled = False
-        for _ in budget.stage():
-            n_r, ld_r = _inverse(factors[0])
-            n_q, ld_q = _inverse(factors[1])
-            base = -t_barrier * lam  # phi(t, lam, r), summed in phi's order
-            base -= ld_r
-            base -= ld_q
-            g_r = basis.coords(n_r)
-            g_q = basis.coords(n_q)
-            # The identity direction: K e0 = coords(N^2), e0.K.e0 = Tr(N^2).
-            k_r = basis.coords(n_r @ n_r)
-            k_q = basis.coords(n_q @ n_q)
-            # maximize phi = t*lam + logdet(U_r) + logdet(U_q)
-            grad_r = g_r - pt(g_q)
-            grad_l = t_barrier - g_r[:d].sum() - g_q[:d].sum()
-            h_rr = _curvature(basis, ((n_r, basis.pairs), (n_q, pt.pairs)))
-            h_rl = -k_r + pt(k_q)  # du_r/dlam = -I, du_q/dr = -T_A, du_q/dlam = -I
-            h_ll = k_r[:d].sum() + k_q[:d].sum()
-            try:
-                sol = np.linalg.solve(
-                    h_rr, np.concatenate([grad_r[:, None], h_rl[:, None]], axis=1)
-                )
-            except np.linalg.LinAlgError:
-                stalled = True  # curvature numerically singular at extreme t
-                break
-            denom = h_ll - h_rl @ sol[:, 1]
-            if not np.isfinite(denom) or denom <= 0:
-                stalled = True
-                break
-            dlam = (grad_l - h_rl @ sol[:, 0]) / denom
-            dr = sol[:, 0] - sol[:, 1] * dlam
-            lam2 = grad_r @ dr + grad_l * dlam
-            outcome = _damped_step(lam2, base, center_tol, budget, nu / t_barrier,
-                                   lambda s: phi(t_barrier, lam + s * dlam, r + s * dr))
-            if outcome == "centered":
-                break
-            if outcome == "failed":
-                stalled = True  # direction too noisy to make progress; move on
-                break
-            step, factors = outcome
-            lam += step * dlam
-            r = r + step * dr
+    for t_barrier, event, y, r, _ in _barrier_path(prog, y, r, gap_goal, tol.max_iter):
+        lam = y[0]
+        stalled = event != "centered"
         if lam > 0:
             break  # current split already has positive margin
-        if not stalled and lam + 1.1 * nu / t_barrier < -tol.feas:
+        if not stalled and lam + 1.1 * prog.nu / t_barrier < -tol.feas:
             break  # certified: no decomposition clears the tolerance
 
     # The pair sums to W exactly by construction, so the residual is pure
     # float rounding; the achieved margin is read off the matrices themselves
     # (>= lam, since the barrier keeps both blocks strictly above lam).
-    p_mat = basis.matrix(r)
-    achieved = _split_margin(p_mat, basis.matrix(pt(xw - r)))
+    p = r[0] + lam * basis.identity
+    p_mat = basis.matrix(p)
+    achieved = _split_margin(p_mat, basis.matrix(pt(xw - p)))
     if achieved < best_margin:
         achieved, p_mat = best_margin, best_p
-    bound = lam + 1.1 * nu / t_barrier if not stalled else np.inf
+    bound = lam + 1.1 * prog.nu / t_barrier if not stalled else np.inf
     return achieved, max(bound, achieved), p_mat
 
 

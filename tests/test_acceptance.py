@@ -14,12 +14,18 @@ reading; the ledger wording is repeated inline where it matters:
   the tolerance.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from importlib import resources
 
+import edlkit
 from edlkit import measure, pauli, robustness, states
 from edlkit.sdp import (
     SolverTolerances,
@@ -78,15 +84,42 @@ def _fixture_records(name, n):
         return measure.read_expectation_csv(path, n)
 
 
+# The slowest summary-table solve in CPU seconds, timed in a fresh
+# interpreter with one BLAS thread: waiting OpenBLAS workers spin, so with
+# more threads another process on the host inflates the CPU time too.
+_TIMED_SOLVES = """
+import json, sys, time
+import edlkit  # caps the BLAS threads from EDLKIT_THREADS before numpy loads
+from edlkit import states
+from edlkit.sdp import synthesize
+slowest = 0.0
+for state, family in json.loads(sys.argv[1]):
+    rho = states.density(states.make_state(state))
+    start = time.process_time()
+    synthesize(rho, [frozenset(s) for s in family])
+    slowest = max(slowest, time.process_time() - start)
+print(slowest)
+"""
+
+
+def _slowest_solve_cpu_s(rows):
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["EDLKIT_THREADS"] = "1"
+    src = str(pathlib.Path(edlkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cases = json.dumps([(state, [sorted(s) for s in family]) for state, family, _, _ in rows])
+    child = subprocess.run(
+        [sys.executable, "-c", _TIMED_SOLVES, cases],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return float(child.stdout)
+
+
 def test_criterion_1_sdp_regression(acceptance):
     worst_alpha = worst_noise = 0.0
-    slowest = 0.0
     for state, family, alpha_ref, p_ref in SUMMARY_ROWS:
-        # CPU time of this process (all its threads), which time taken by
-        # other processes on a loaded host does not inflate
-        start = time.process_time()
         result = synthesize(_rho(state), family)
-        slowest = max(slowest, time.process_time() - start)
         worst_alpha = max(worst_alpha, abs(result.alpha - alpha_ref))
         worst_noise = max(worst_noise, abs(result.p_noise - p_ref))
         assert result.alpha == pytest.approx(alpha_ref, abs=1e-3), (state, family)
@@ -100,14 +133,16 @@ def test_criterion_1_sdp_regression(acceptance):
         deviant = synthesize(_rho("C4"), family)
         assert deviant.alpha == pytest.approx(-0.03125, abs=1e-3)
 
+    slowest = _slowest_solve_cpu_s(SUMMARY_ROWS)
     assert slowest < 4.0  # spec expectation: < 2 s per solve on a laptop
     acceptance(
         1,
         "SDP summary-table regression",
         True,
         f"15/16 rows within 1e-3 (worst {worst_alpha:.1e}, p_noise {worst_noise:.1e}, "
-        f"slowest solve {slowest:.2f} CPU s); C4 S3[1] row documented deviation: "
-        f"family optimum is -0.03125, printed -0.0156 is the hand-crafted witness",
+        f"slowest solve {slowest:.2f} CPU s at one BLAS thread); "
+        f"C4 S3[1] row documented deviation: family optimum is -0.03125, "
+        f"printed -0.0156 is the hand-crafted witness",
     )
 
 

@@ -238,6 +238,41 @@ def test_barrier_path_step_counts(state, family, steps):
     assert synthesize(rho, family).solution.iterations == steps
 
 
+@pytest.mark.parametrize(
+    "label, systems", [("W3-1", 60), ("W4-1", 136), ("D4-5", 82), ("C4-2", 45)]
+)
+def test_margin_newton_system_counts(monkeypatch, label, systems):
+    # pins the margin program's path: one _curvature call per Newton system
+    # and cut block. C4-1 is left out: its cut {1,3,4} has a certified bound
+    # of about 1e-9, so roundoff decides how many steps its last stages take.
+    calls = []
+    curvature = sdp_module._curvature
+    monkeypatch.setattr(sdp_module, "_curvature", lambda *a: calls.append(1) or curvature(*a))
+    state, index = label.split("-")
+    decomposition_margins(load_paper_witness(state, int(index)).expr)
+    assert len(calls) == systems
+
+
+def test_margin_stage_with_a_negative_decrement_certifies_no_bound(monkeypatch):
+    # With the curvature's sign flipped the squared Newton decrement comes
+    # out negative, as roundoff can make it near the boundary. Such a stage
+    # has lost its centering, so the margin program may not state the gap
+    # bound nu/t of a centered point: every bound must read inf.
+    events = []
+    curvature, path = sdp_module._curvature, sdp_module._barrier_path
+
+    def spy(*args):
+        for stage in path(*args):
+            events.append(stage[1])
+            yield stage
+
+    monkeypatch.setattr(sdp_module, "_curvature", lambda *a: -curvature(*a))
+    monkeypatch.setattr(sdp_module, "_barrier_path", spy)
+    margins = decomposition_margins(load_paper_witness("W3", 1).expr)
+    assert "singular" in events
+    assert all(bound == np.inf for _, bound in margins.values())
+
+
 def _phased(name, qubit):
     """A reference state with the local phase diag(1, i) on one qubit: complex rho."""
     psi = states.make_state(name)

@@ -9,7 +9,10 @@ whether a change moved any iterate:
   as the certify-catalog workload has them): the repr of every
   decomposition_margins pair and a hash of the verify_witness certificates
   (None when it rejects the witness);
-- last, the Newton step totals of the two synthesis workloads.
+- last, the Newton step totals of the two synthesis workloads and the
+  number of margin Newton systems of the certify-catalog workload (calls of
+  ``sdp._curvature`` made by ``decomposition_margins``, one per Newton
+  system and cut block), which the benchmark's ``newton_steps`` leaves out.
 
 The inputs are read from bench/workloads.py; nothing there is changed. Run
 from the root of a checkout (edlkit is imported from its ./src):
@@ -74,8 +77,20 @@ def main() -> None:
     for state in ("D4", "C4"):
         proj = witness.projector_witness(states.make_state(state))
         entries.append((f"{state}-projector", (1.0 / proj.expr.trace()) * proj.expr))
+    systems = 0
+    curvature = sdp._curvature
+
+    def counted(*args):
+        nonlocal systems
+        systems += 1
+        return curvature(*args)
+
     for label, expr in entries:
-        margins = sdp.decomposition_margins(expr)
+        sdp._curvature = counted
+        try:
+            margins = sdp.decomposition_margins(expr)
+        finally:
+            sdp._curvature = curvature
         pairs = " ".join(
             f"{''.join(map(str, sorted(part)))}:{margins[part][0]!r},{margins[part][1]!r}"
             for part in sorted(margins, key=sorted)
@@ -84,6 +99,7 @@ def main() -> None:
         print(f"verify {label}: {certificate_hash(sdp.verify_witness(expr))}")
 
     print(f"newton steps: synth-table {synth_steps}, edl-scan {scan_steps}")
+    print(f"margin newton systems: certify-catalog {systems}")
 
 
 if __name__ == "__main__":
