@@ -39,64 +39,55 @@ Synthesis takes a singular stage as centered and raises on a failed one;
 the margin program marks either stage stalled, so no bound is certified
 from it.
 
-Real inputs are solved in the real symmetric subspace. When rho (for
-synthesis) or the witness matrix (for the margin solves) has an exactly
-zero imaginary part, complex conjugation maps the program to itself: it
-commutes with every T_A, keeps the objective and the barrier, and fixes the
-feasible start. The barrier is strictly convex, so the central path and
-every Newton iterate from that start are fixed by it: the sqrt2*Im
-coordinates of every block and the coefficients of the Pauli words with an
-odd number of Y letters are zero throughout (the symmetry reduction of
-Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004, for the group
-{identity, conjugation}). Those coordinates and words are then left out:
-each block has 2^n(2^n+1)/2 real coordinates instead of 4^n, its matrices
-are real, and T_A is a plain permutation. Complex inputs keep the full
-Hermitian basis. The input alone decides; there is no option.
+Each program is reduced by the symmetries of its own data, which one
+reader, ``_symmetries``, takes from the program's Pauli coordinates: for
+synthesis the targets 2^n Tr(P rho) on the free words (0 elsewhere), with
+the free-word set as a second row, and for the margin solves the witness's
+coefficients (the coefficients decide, not the rounded matrix). A map that
+fixes these data maps the program to itself: the objective, the free words,
+the feasible start and the set of T_A. The barrier is strictly convex, so
+the central path and every Newton iterate from the start are fixed by it
+too, and the coordinates it forces to zero or to each other are left out
+(the symmetry reduction of Gatermann & Parrilo, J. Pure Appl. Algebra 192,
+2004). Three reductions are read:
 
-Sign symmetries are reduced the same way. Let V be the F2-span of the ket
-XORs i^j over the nonzero entries rho_ij (for synthesis), or of the X/Y bit
-masks of the witness's words with nonzero coefficients (for the margin
-solves; the coefficients decide, not the rounded matrix). For every mask s
-orthogonal to V, conjugation by the diagonal Pauli product Z^s fixes the
-input, fixes every family support, commutes with every T_A (Z^s is real and
-diagonal, and T_A keeps i^j) and fixes the feasible starts; it multiplies
-an entry (i, j) by (-1)^(s.(i^j)). So every iterate has entries only where
-i^j lies in V, and the free words whose X/Y mask is outside V have
-coefficient zero (their targets are exactly zero). The blocks keep only the
-diagonal and the upper entries with i^j in V, in the basis of the full
-one's coordinates at those entries: T_A permutes them and the curvature
-there is the principal submatrix of the full one. W_n, Dicke and the linear
-cluster at n=4 keep 72, 72 and 40 of 136 real coordinates; GHZ5 keeps 48
-of 528. A random state reaches every mask and keeps the full basis; a
-complex input keeps its Im coordinates on the kept entries. The input alone
-decides.
+- real: no word with an odd number of Y letters has a nonzero coordinate,
+  so complex conjugation, which commutes with every T_A, fixes the
+  program. The sqrt2*Im coordinates of every block and the coefficients of
+  the odd-Y (imaginary) words are zero throughout: a block has
+  2^n(2^n+1)/2 real coordinates instead of 4^n, its matrices are real and
+  T_A is a plain permutation.
+- span: let V be the F2-span of the X/Y masks of the words with nonzero
+  coordinates. For every mask s orthogonal to V, conjugation by the
+  diagonal Pauli product Z^s fixes the program (Z^s is real and diagonal
+  and commutes with every T_A, which keeps i^j); it multiplies an entry
+  (i, j) by (-1)^(s.(i^j)). So every iterate has entries only where i^j
+  lies in V, and the free words whose X/Y mask is outside V have
+  coefficient zero. The blocks keep the diagonal and the upper entries
+  with i^j in V, in the basis of the full one's coordinates at those
+  entries: T_A permutes them and the curvature there is the principal
+  submatrix of the full one.
+- group: the qubit permutations that map every row to an exactly equal
+  row (no tolerance). They permute the free words and the cuts {A, A^c},
+  so the witness is constant on each word orbit and the blocks of a cut
+  orbit are the permuted copies of one representative's blocks. Synthesis
+  carries one variable per word orbit, whose matrix is the orbit sum S_o
+  (coupled to a cut through T_A(S_o)), and one P block per cut orbit,
+  whose logdet terms are weighted by the orbit size; the barrier parameter
+  still counts every bipartition. The margin solver runs one program per
+  cut orbit. Restricted to these variables the barrier, its gradient and
+  its Newton step are those of the full program, so in exact arithmetic
+  the iterates are the same; only rounding differs. A certificate is
+  returned for every canonical bipartition B: P_B = U_g P_A U_g^T with g
+  carrying the representative's cut {A, A^c} to {B, B^c}, and Q_B =
+  T_B(W - P_B).
 
-Qubit permutations are reduced the same way. ``synthesize`` first reads the
-group G of qubit permutations that map the family to itself as a set of
-subsets and leave rho exactly unchanged (entrywise equality of the permuted
-matrix, no tolerance). G permutes the free words and the cuts {A, A^c},
-maps the objective and the barrier to themselves and fixes the start, so
-again every Newton iterate is fixed by G: the witness is constant on each
-word orbit, and the blocks of a cut orbit are the permuted copies of one
-representative's blocks. The program then carries one variable per word
-orbit, whose matrix is the orbit sum S_o (coupled to a cut through
-T_A(S_o)), and one P block per cut orbit, whose logdet terms are weighted
-by the orbit size. Restricted to these variables the barrier, its gradient
-and its Newton step are those of the full program, so in exact arithmetic
-the iterates, decrements and step lengths are the same; only rounding
-differs. The barrier parameter still counts every bipartition. A
-certificate is returned for every canonical bipartition B: P_B = U_g P_A
-U_g^T with g carrying the representative's cut {A, A^c} to {B, B^c}, and
-Q_B = T_B(W - P_B). Asymmetric and complex inputs get a smaller G; the
-trivial group is the full program. Again the input alone decides.
-
-The margin solves of ``verify_witness`` and ``decomposition_margins`` are
-reduced by the group G of qubit permutations that map every Pauli word's
-coefficient of the witness to an exactly equal one. A permutation carries a
-split W = P_A + Q_A^{T_A} to a split of the image cut with the same margin,
-so one max-margin program is solved per cut orbit and its certificate is
-carried to the rest of the orbit as above; the trivial group solves every
-cut. Here too the input alone decides.
+Synthesis sees rho only through its free words, so a coherence of rho that
+the family cannot reach is not carried: W_n, Dicke and the linear cluster
+at n=4 keep 72, 72 and 40 of 136 real coordinates on the all-3 family, the
+cluster 16 on all pairs, every state at k=1 only the diagonal, and GHZ5 32
+of 528 below k=5. A random state reaches every mask and keeps the full
+basis with the trivial group. The data alone decide; there is no option.
 
 Deterministic: no randomization anywhere, so identical inputs give identical
 iterates.
@@ -140,6 +131,7 @@ class SdpProblem:
     target_vector: np.ndarray          # Tr(P rho) per free word
     bipartitions: tuple[frozenset[int], ...]
     identity_coeff: float              # fixed witness identity coordinate
+    free_index: np.ndarray             # position of each free word in pauli.all_words(n)
 
     @property
     def dim(self) -> int:
@@ -188,20 +180,20 @@ def build_problem(rho: np.ndarray, family) -> SdpProblem:
     for s in fam:
         if not s or not s <= set(range(1, n + 1)):
             raise ValueError(f"subset {sorted(s)} outside qubit range 1..{n}")
+    # A word is free when its support (one bit per non-identity letter, qubit
+    # 1 most significant) lies inside a subset's; the identity is not free.
+    support = (pauli._letter_digits(n) != 0) @ (1 << np.arange(n - 1, -1, -1))
+    masks = np.array([sum(1 << (n - q) for q in s) for s in fam])
+    inside = np.any(np.arange(d)[:, None] & ~masks == 0, axis=1)
+    free = np.flatnonzero(inside[support])[1:]
     words = pauli.all_words(n)
-    free = [
-        w
-        for w in words[1:]
-        if any(pauli.word_support(w) <= s for s in fam)
-    ]
-    x_rho = pauli.to_pauli_coords(rho)
-    target = np.array([d * x_rho[pauli.word_index(w)] for w in free])
     return SdpProblem(
         n=n,
-        free_words=tuple(free),
-        target_vector=target,
+        free_words=tuple(words[i] for i in free),
+        target_vector=d * pauli.to_pauli_coords(rho)[free],
         bipartitions=pauli.bipartitions(n),
         identity_coeff=1.0 / d,
+        free_index=free,
     )
 
 
@@ -223,14 +215,14 @@ class _EntryBasis:
     blocks and ``coords`` drops any imaginary part. These are the leading
     coordinates of the Hermitian basis, so every real-basis quantity is the
     leading diag/Re part of the Hermitian one. The solvers use it when their
-    input is real (see the module docstring).
+    program is real (see the module docstring).
 
     With ``span`` (a set of ket XORs closed under XOR) only the diagonal and
     the upper entries with i^j in the span are kept: m of them, d + m
     coordinates (real) or d + 2m (Hermitian). The kept coordinates are those
     of the full basis at these entries, in the same order; ``coords`` ignores
     the other entries and ``matrix`` leaves them zero. The solvers use it
-    for the sign symmetries of their input (see the module docstring).
+    for the sign symmetries of their program (see the module docstring).
 
     Each coordinate belongs to one matrix-unit pair (a, b): the diagonal
     coordinates to (i, i), both coordinates of an upper entry to (i, j).
@@ -375,15 +367,6 @@ def _partial_transpose(
     return _PartialTranspose(_entry_basis(n, real, span), part)
 
 
-_X_BITS = str.maketrans("IXYZ", "0110")
-
-
-def _x_mask(word: str) -> int:
-    """The ket XOR a Pauli word applies: one bit per X or Y letter, qubit 1
-    most significant. The word's matrix has entries only at i^j = mask."""
-    return int(word.translate(_X_BITS), 2)
-
-
 def _xor_span(masks) -> frozenset[int]:
     """The F2-span of a collection of ket XOR masks (0 included)."""
     span = {0}
@@ -393,32 +376,44 @@ def _xor_span(masks) -> frozenset[int]:
     return frozenset(span)
 
 
-def _ket_span(rho: np.ndarray) -> frozenset[int]:
-    """The span of the ket XORs i^j over the nonzero entries of rho."""
-    rows, cols = np.nonzero(rho)
-    return _xor_span(np.unique(rows ^ cols).tolist())
+def _symmetries(x: np.ndarray, *fixed: np.ndarray):
+    """(real, span, group): the reductions of a program read from its Pauli
+    coordinates x, one per word of ``pauli.all_words(n)`` (see the module
+    docstring).
 
-
-def _witness_span(expr: ObservableExpr) -> frozenset[int]:
-    """The span of the X/Y masks of the witness's words; the coefficients
-    decide (a word is there when its coefficient is nonzero)."""
-    return _xor_span(_x_mask(w) for w in expr.terms)
-
-
-def _qubit_symmetries(rho: np.ndarray, family) -> tuple[tuple[int, ...], ...]:
-    """The qubit permutations that fix the family as a set of subsets and fix
-    rho exactly (no tolerance). g sends qubit q+1 to g[q]+1; identity first."""
-    rho = np.asarray(rho)
-    n = rho.shape[0].bit_length() - 1
-    fam = {frozenset(s) for s in family}
-    group = []
+    ``real``: no word with an odd number of Y letters has a nonzero
+    coordinate. ``span``: the F2-span of the X/Y masks of the words with
+    nonzero coordinates. ``group``: the qubit permutations that map x and
+    every row of ``fixed`` to exactly equal rows (no tolerance), in
+    ``permutations`` order, identity first; g sends qubit q+1 to g[q]+1.
+    """
+    n = pauli._infer_n_coords(x.size)
+    words = np.flatnonzero(x)
+    real = not np.any(pauli.pt_signs(n, frozenset(range(1, n + 1)))[words] < 0)
+    span = _xor_span(pauli.monomial_form(n)[0][words, 0].tolist())
+    # A qubit permutation permutes the axes of the rows read as (4,)*n
+    # tensors; the axes taken in the order g are the image under g's
+    # inverse, which fixes the rows exactly when g does. The permutations
+    # that fix them form a group, so one found inside adds every product
+    # with the ones found so far, and one found outside rules out its coset.
+    rows = np.stack((x,) + fixed).reshape((-1,) + (4,) * n)
+    group, outside, gens = {tuple(range(n))}, set(), []
     for g in permutations(range(n)):
-        if {frozenset(g[q - 1] + 1 for q in s) for s in fam} != fam:
+        if g in group or g in outside:
             continue
-        kets = _ket_permutation(g)
-        if np.array_equal(rho[np.ix_(kets, kets)], rho):
-            group.append(g)
-    return tuple(group)
+        if not np.array_equal(rows.transpose(0, *(1 + q for q in g)), rows):
+            outside.update(tuple(map(g.__getitem__, h)) for h in group)
+            continue
+        gens.append(g)
+        queue = list(group)
+        while queue:
+            h = queue.pop()
+            for s in gens:
+                image = tuple(map(h.__getitem__, s))
+                if image not in group:
+                    group.add(image)
+                    queue.append(image)
+    return real, span, tuple(sorted(group))
 
 
 def _ket_permutation(g: tuple[int, ...]) -> np.ndarray:
@@ -448,21 +443,6 @@ def _word_orbits(n: int, word_idx: np.ndarray, group) -> np.ndarray:
     for g in group:
         least = np.minimum(least, position[_permuted_digits(word_idx, g, 2)])
     return np.unique(least, return_inverse=True)[1]
-
-
-def _witness_symmetries(expr: ObservableExpr) -> tuple[tuple[int, ...], ...]:
-    """The qubit permutations that map every Pauli word's coefficient of the
-    witness to an exactly equal coefficient (no tolerance); identity first.
-
-    The coefficients decide, not the matrix: its entries are rounded sums
-    that a permutation of the words need not leave exactly equal."""
-    x = expr.coords()
-    words = np.arange(x.size)
-    return tuple(
-        g
-        for g in permutations(range(expr.n))
-        if np.array_equal(x[_permuted_digits(words, g, 2)], x)
-    )
 
 
 def _cut_orbits(n: int, parts, group):
@@ -645,29 +625,32 @@ def synthesize(
 ) -> SynthesisResult:
     """Solve the synthesis program; negative alpha means the family detects rho."""
     problem = build_problem(rho, family)
-    real = not np.any(np.imag(rho))
-    return _synthesize(problem, real, _ket_span(rho), _qubit_symmetries(rho, family), tol)
+    # The program sees rho only through the targets of its free words: the
+    # reductions are read from them, and the group fixes the free words too.
+    target, free = np.zeros((2, 4**problem.n))
+    target[problem.free_index] = problem.target_vector
+    free[problem.free_index] = 1.0
+    return _synthesize(problem, *_symmetries(target, free), tol)
 
 
 def _synthesize(
     problem: SdpProblem, real: bool, span: frozenset[int], group, tol: SolverTolerances
 ) -> SynthesisResult:
-    """The barrier method on the program reduced to the entries with ket
-    XOR in ``span`` and by a group of qubit permutations that fixes it; the
-    span of all 2^n masks and the trivial group give the full program."""
+    """The barrier method on the program reduced by (real, span, group) as
+    ``_symmetries`` reads them; real=False, the span of all 2^n masks and
+    the trivial group give the full program."""
     n, d = problem.n, problem.dim
-    # A real rho is solved in the real symmetric subspace, where the words
-    # with an odd number of Y letters (the imaginary ones) have no place; a
-    # word whose X/Y mask is outside the span reaches no kept entry.
     basis = _entry_basis(n, real, span)
     parts = problem.bipartitions
-    kept = [
-        k
-        for k, w in enumerate(problem.free_words)
-        if _x_mask(w) in span and not (real and w.count("Y") % 2)
-    ]
-    free_idx = np.array([pauli.word_index(problem.free_words[k]) for k in kept], dtype=int)
-    c = problem.target_vector[kept]
+    # A real program has no place for the words with an odd number of Y
+    # letters (the imaginary ones); a word whose X/Y mask is outside the
+    # span reaches no kept entry.
+    inside = np.zeros(d, dtype=bool)
+    inside[list(span)] = True
+    free_idx = problem.free_index
+    odd_y = pauli.pt_signs(n, frozenset(range(1, n + 1)))[free_idx] < 0
+    kept = inside[pauli.monomial_form(n)[0][free_idx, 0]] & ~(real & odd_y)
+    free_idx, c = free_idx[kept], problem.target_vector[kept]
 
     # One variable v_o per word orbit (w_f = v_o on the orbit) and one P block
     # per cut orbit, its barrier terms weighted by the orbit size. The words
@@ -736,9 +719,7 @@ def verify_witness(
     decomposition exists iff the optimal margin is nonnegative (up to the
     feasibility tolerance).
     """
-    splits = _margin_splits(
-        expr, _witness_span(expr), _witness_symmetries(expr), tol, reject_below=-tol.feas
-    )
+    splits = _margin_splits(expr, *_symmetries(expr.coords()), tol, reject_below=-tol.feas)
     if splits is None:
         return None
     return {part: (p_mat, q_mat) for part, (_, _, p_mat, q_mat) in splits.items()}
@@ -755,25 +736,25 @@ def decomposition_margins(
     was established). A witness admits PSD certificates exactly when every
     best-found margin clears -tol.feas.
     """
-    splits = _margin_splits(expr, _witness_span(expr), _witness_symmetries(expr), tol)
+    splits = _margin_splits(expr, *_symmetries(expr.coords()), tol)
     return {part: (achieved, bound) for part, (achieved, bound, _, _) in splits.items()}
 
 
 def _margin_splits(
-    expr: ObservableExpr, span, group, tol: SolverTolerances, reject_below=-np.inf
+    expr: ObservableExpr, real, span, group, tol: SolverTolerances, reject_below=-np.inf
 ):
     """(achieved, bound, P, Q) for every canonical bipartition, from one margin
-    program per cut orbit of a group of qubit permutations that fixes the
-    witness's coefficients, each on the entries with ket XOR in ``span`` (a
-    span that holds the X/Y masks of the witness's words); the span of all
-    2^n masks and the trivial group solve the full program on every cut.
-    None as soon as a representative's achieved margin falls below
-    ``reject_below``.
+    program per cut orbit of the group, each reduced by the reductions
+    ``_symmetries`` reads from the witness's coefficients (real, span,
+    group); real=False, the span of all 2^n masks and the trivial group
+    solve the full program on every cut. None as soon as a representative's
+    achieved margin falls below ``reject_below``.
 
     A cut B of an orbit gets the carried split of its representative, its
-    achieved margin read off its own matrices and the representative's bound.
+    achieved margin read off its own matrices and the representative's
+    bound; a bound below that margin is wrong, so it reads inf.
     """
-    n, basis, xw = _witness_coords(expr, span)
+    n, basis, xw = _witness_coords(expr, real, span)
     parts = pauli.bipartitions(n)
     reps, _, origin = _cut_orbits(n, parts, group)
     solved = []
@@ -789,7 +770,7 @@ def _margin_splits(
         bound, p_rep = solved[k]
         p_mat, q_mat = _carried_split(basis, xw, p_rep, part, g)
         achieved = _split_margin(p_mat, q_mat)
-        splits[part] = (achieved, max(bound, achieved), p_mat, q_mat)
+        splits[part] = (achieved, bound if bound >= achieved else np.inf, p_mat, q_mat)
     return splits
 
 
@@ -812,14 +793,13 @@ def _split_margin(p_mat: np.ndarray, q_mat: np.ndarray) -> float:
     return float(min(np.linalg.eigvalsh(p_mat)[0], np.linalg.eigvalsh(q_mat)[0]))
 
 
-def _witness_coords(expr: ObservableExpr, span):
+def _witness_coords(expr: ObservableExpr, real, span):
     """(n, basis, entry coordinates) of a witness in the basis of the entries
-    with ket XOR in ``span``; the real basis for a real witness."""
+    with ket XOR in ``span``, real or Hermitian."""
     if expr.trace() <= 0:
         raise ValueError("expression must have positive trace")
-    w_mat = expr.matrix()
-    basis = _entry_basis(expr.n, not np.any(w_mat.imag), span)
-    return expr.n, basis, basis.coords(w_mat)
+    basis = _entry_basis(expr.n, real, span)
+    return expr.n, basis, basis.coords(expr.matrix())
 
 
 def _max_margin_split(xw, basis, pt, tol):
@@ -827,8 +807,9 @@ def _max_margin_split(xw, basis, pt, tol):
 
     ``xw`` holds W's entry coordinates and ``pt`` is T_A. Returns (achieved,
     bound, P): the best margin found, a certified upper bound on the optimal
-    margin (inf when none was established), and the P block realizing the
-    best margin (Q = T_A(W - P)).
+    margin (inf when none was established, or when the computed bound lies
+    below the achieved margin and so is wrong), and the P block realizing
+    the best margin (Q = T_A(W - P)).
     """
     # Trivial splits first: all of W on one side. These settle every case
     # whose binding block is exactly PSD (projector witnesses in particular).
@@ -872,7 +853,7 @@ def _max_margin_split(xw, basis, pt, tol):
     if achieved < best_margin:
         achieved, p_mat = best_margin, best_p
     bound = lam + 1.1 * prog.nu / t_barrier if not stalled else np.inf
-    return achieved, max(bound, achieved), p_mat
+    return achieved, bound if bound >= achieved else np.inf, p_mat
 
 
 def edl_search(rho: np.ndarray, tol: SolverTolerances = SolverTolerances()) -> int:

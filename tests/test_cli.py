@@ -226,6 +226,39 @@ def test_edl_csv_empty_p_noise_when_undetected(capsys):
     assert code == 0
 
 
+# --- CSV / JSON equivalence -------------------------------------------------------
+
+D4A = "src/edlkit/data/tables/d4a.csv"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("eval", "--witness", "D4-5", "--state", "d4", "--noise", "0.31"), id="eval"),
+        pytest.param(("edl", "--state", "w3"), id="edl"),
+        pytest.param(("estimate", "--expectations", D4A, "--witness", "D4-5"), id="estimate-witness"),
+        pytest.param(("estimate", "--expectations", D4A, "--fidelity", "d4"), id="estimate-fidelity"),
+    ],
+)
+def test_csv_and_json_carry_identical_values(capsys, argv):
+    code_csv, out_csv, _ = run(capsys, *argv, "--format", "csv")
+    code_json, out_json, _ = run(capsys, *argv, "--format", "json")
+    assert code_csv == code_json
+    rows_csv = list(csv.DictReader(out_csv.splitlines()))
+    rows_json = json.loads(out_json)
+    assert len(rows_csv) == len(rows_json) >= 1
+    for text_row, row in zip(rows_csv, rows_json):
+        assert list(text_row) == list(row)
+        for key, value in row.items():
+            text = text_row[key]
+            if value is None:  # edl's p_noise where k does not detect
+                assert text == "", key
+            elif isinstance(value, float):
+                assert float(text).hex() == value.hex(), key  # bit-equal
+            else:  # booleans read True / False, integers and labels as written
+                assert text == str(value), key
+
+
 # --- simulate / estimate ----------------------------------------------------------
 
 def test_simulate_witness_mode(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edlkit import pauli, sdp, states
+from test_sdp import _reductions
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -123,11 +124,19 @@ def test_monomial_form_matches_dense_paulis():
 
 
 def test_d4_all_pairs_solve_is_deterministic():
-    rho = states.density(states.make_state("D4"))
-    # all pairs keep every qubit permutation; 12, 23, 234 keeps none
-    asymmetric = (frozenset({1, 2}), frozenset({2, 3}), frozenset({2, 3, 4}))
-    for family, order in ((sdp.all_k_family(4, 2), 24), (asymmetric, 1)):
-        assert len(sdp._qubit_symmetries(rho, family)) == order
+    d4 = states.density(states.make_state("D4"))
+    c4 = states.density(states.make_state("C4"))
+    # all pairs keep every qubit permutation; 12, 23, 234 has the free words
+    # of 12, 234 and keeps the swap of 3 and 4. D4 is fixed by every
+    # permutation and no family of two to four subsets gives it a trivial
+    # group; the cluster on 12, 23 has one.
+    cases = (
+        (d4, sdp.all_k_family(4, 2), 24),
+        (d4, (frozenset({1, 2}), frozenset({2, 3}), frozenset({2, 3, 4})), 2),
+        (c4, (frozenset({1, 2}), frozenset({2, 3})), 1),
+    )
+    for rho, family, order in cases:
+        assert len(_reductions(rho, family)[2]) == order
         a = sdp.synthesize(rho, family)
         b = sdp.synthesize(rho, family)
         assert repr(a.alpha) == repr(b.alpha)

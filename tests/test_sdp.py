@@ -19,7 +19,7 @@ from edlkit.sdp import (
     synthesize,
     verify_witness,
 )
-from edlkit.witness import evaluate, load_paper_witness, projector_witness
+from edlkit.witness import ObservableExpr, evaluate, load_paper_witness, projector_witness
 
 W3_RHO = states.density(states.make_state("W3"))
 PAIRS_12_23 = [frozenset({1, 2}), frozenset({2, 3})]
@@ -322,6 +322,26 @@ def _full_span(n):
     return frozenset(range(2**n))
 
 
+class _Stop(Exception):
+    pass
+
+
+def _reductions(rho, family):
+    """The (real, span, group) that synthesize reads and hands to the solver,
+    caught at the seam before any solve."""
+    seen = []
+
+    def spy(problem, real, span, group, tol):
+        seen.append((real, span, group))
+        raise _Stop
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdp_module, "_synthesize", spy)
+        with pytest.raises(_Stop):
+            synthesize(rho, family)
+    return seen[0]
+
+
 def _unreduced(rho, family):
     """The full program: the solver's seam called with the span of all 2^n
     ket XOR masks and the trivial group."""
@@ -354,7 +374,17 @@ def _masked_random(seed, n, generators):
     return np.where(np.isin(rows ^ cols, list(span)), rho, 0)
 
 
+def _phased_ghz3():
+    """GHZ3 with the phase e^{0.3i} on |111><000|: complex rho whose pair
+    marginals are real and diagonal."""
+    psi = np.zeros(8, dtype=complex)
+    psi[[0, -1]] = np.array([1, np.exp(0.3j)]) / np.sqrt(2)
+    return states.density(psi)
+
+
 def _case_rho(state):
+    if state == "GHZ3-phased":
+        return _phased_ghz3()
     if state.startswith("GHZ"):
         return _ghz(int(state[3:]))
     if state == "masked":
@@ -365,7 +395,8 @@ def _case_rho(state):
 def _equivalence_cases():
     # every synth-table solve (the summary rows and the C4 deviation family),
     # every all-k family of the four reference states and of GHZ3 and GHZ4,
-    # each once, and the masked random state on the all-pairs family
+    # each once, the masked random state and the phased GHZ3 on the all-pairs
+    # family
     from test_acceptance import SUMMARY_ROWS
 
     cases = [(state, frozenset(family)) for state, family, _, _ in SUMMARY_ROWS]
@@ -374,6 +405,7 @@ def _equivalence_cases():
         n = 3 if state.endswith("3") else 4
         cases += [(state, frozenset(all_k_family(n, k))) for k in range(1, n + 1)]
     cases.append(("masked", frozenset(all_k_family(4, 2))))
+    cases.append(("GHZ3-phased", frozenset(all_k_family(3, 2))))
     return list(dict.fromkeys(cases))
 
 
@@ -407,19 +439,40 @@ def test_symmetry_reduction_matches_the_full_program(case):
         assert pauli.min_eigenvalue(q_mat) >= -1e-8
         recon = p_mat + pauli.partial_transpose(q_mat, sorted(part))
         assert np.max(np.abs(recon - w_mat)) < 1e-7
-    group = sdp_module._qubit_symmetries(rho, family)
+    group = _reductions(rho, family)[2]
     for word, coeff in expr.terms.items():
         for g in group:
             assert expr.terms.get(_permuted_word(word, g)) == coeff
 
 
-@pytest.mark.parametrize("state, size", [("W3", 20), ("W4", 72), ("D4", 72), ("C4", 40)])
-def test_sign_symmetry_basis_sizes(state, size):
-    # the diagonal plus the upper entries whose ket XOR lies in the span,
-    # against 2^n(2^n+1)/2 = 36 (n=3) and 136 (n=4) in the full real basis
+@pytest.mark.parametrize(
+    "state, k, size",
+    [
+        pytest.param(state, k, size, id=f"{state}-{size}")
+        for state, k, size in (("W3", 2, 20), ("W4", 2, 72), ("D4", 2, 72), ("C4", 3, 40), ("C4", 2, 16))
+    ],
+)
+def test_sign_symmetry_basis_sizes(state, k, size):
+    # the diagonal plus the upper entries whose ket XOR lies in the span of
+    # the masks the all-k targets reach, against 2^n(2^n+1)/2 = 36 (n=3) and
+    # 136 (n=4) in the full real basis; the cluster's pair marginals are
+    # diagonal, so all pairs keep only the diagonal
     rho = states.density(states.make_state(state))
     n = rho.shape[0].bit_length() - 1
-    assert sdp_module._entry_basis(n, True, sdp_module._ket_span(rho)).size == size
+    real, span, _ = _reductions(rho, all_k_family(n, k))
+    assert real and sdp_module._entry_basis(n, real, span).size == size
+
+
+@pytest.mark.parametrize("state", ["W3", "W4", "D4", "C4"])
+def test_single_qubit_families_keep_only_the_diagonal(state):
+    # one-qubit marginals of these states are diagonal: no X/Y word has a
+    # nonzero target, so the span is {0}
+    rho = states.density(states.make_state(state))
+    n = rho.shape[0].bit_length() - 1
+    real, span, group = _reductions(rho, all_k_family(n, 1))
+    assert real and span == {0}
+    assert sdp_module._entry_basis(n, real, span).size == 2**n
+    assert len(group) == (6 if n == 3 else 24)  # the cluster's grows from 8
 
 
 def test_one_entry_outside_the_span_gives_the_full_basis(monkeypatch):
@@ -428,7 +481,7 @@ def test_one_entry_outside_the_span_gives_the_full_basis(monkeypatch):
     rho = 0.9 * states.density(states.make_state("W4")) + 0.1 * np.eye(16) / 16
     rho[0, 1] = rho[1, 0] = 1e-3
     assert np.linalg.eigvalsh(rho)[0] > 0
-    assert sdp_module._ket_span(rho) == _full_span(4)
+    assert _reductions(rho, all_k_family(4, 2))[1] == _full_span(4)
     sizes = []
     entry_basis = sdp_module._entry_basis
 
@@ -446,7 +499,23 @@ def test_one_entry_outside_the_span_gives_the_full_basis(monkeypatch):
 def test_masked_random_state_has_the_planted_span():
     rho = _case_rho("masked")
     assert np.linalg.eigvalsh(rho)[0] > 0 and np.any(rho.imag)
-    assert sdp_module._ket_span(rho) == {0b0000, 0b0011, 0b0110, 0b0101}
+    real, span, _ = _reductions(rho, all_k_family(4, 2))
+    assert not real and span == {0b0000, 0b0011, 0b0110, 0b0101}
+
+
+def test_phased_ghz3_pairs_solve_in_the_real_basis():
+    # the phase sits on a weight-3 coherence that no pair word reaches, so
+    # the program is the unphased one: real, diagonal, every permutation
+    rho = _phased_ghz3()
+    assert np.any(rho.imag)
+    real, span, group = _reductions(rho, ALL_PAIRS_3)
+    assert real and span == {0} and len(group) == 6
+    result = synthesize(rho, ALL_PAIRS_3)
+    plain = synthesize(_ghz(3), ALL_PAIRS_3)
+    assert repr(result.alpha) == repr(plain.alpha)
+    assert result.solution.iterations == plain.solution.iterations
+    for p_mat, q_mat in result.solution.certificates.values():
+        assert p_mat.dtype == q_mat.dtype == np.float64
 
 
 def _random_density(seed, n):
@@ -457,7 +526,9 @@ def _random_density(seed, n):
 
 
 def test_qubit_symmetries_of_the_input():
-    group = sdp_module._qubit_symmetries
+    def group(rho, family):
+        return _reductions(rho, family)[2]
+
     d4 = states.density(states.make_state("D4"))
     c4 = states.density(states.make_state("C4"))
     assert len(group(W3_RHO, ALL_PAIRS_3)) == 6
@@ -471,6 +542,11 @@ def test_qubit_symmetries_of_the_input():
     # the phase diag(1, i) on qubit 1 leaves only the swap of qubits 2 and 3
     assert group(_phased("W3", 1), ALL_PAIRS_3) == ((0, 1, 2), (0, 2, 1))
     assert group(_random_density(11, 3), ALL_PAIRS_3) == ((0, 1, 2),)
+    # 12, 23, 234 has the free words of 12, 234, which the swap of 3, 4 fixes
+    assert group(d4, [frozenset({1, 2}), frozenset({2, 3}), frozenset({2, 3, 4})]) == (
+        (0, 1, 2, 3),
+        (0, 1, 3, 2),
+    )
 
 
 def _normalized_projector(state):
@@ -479,7 +555,9 @@ def _normalized_projector(state):
 
 
 def test_witness_symmetries_read_the_coefficients():
-    group = sdp_module._witness_symmetries
+    def group(expr):
+        return sdp_module._symmetries(expr.coords())[2]
+
     assert len(group(load_paper_witness("W3", 2).expr)) == 6
     d4_5 = group(load_paper_witness("D4", 5).expr)
     assert len(d4_5) == 24
@@ -493,6 +571,13 @@ def test_witness_symmetries_read_the_coefficients():
     w_mat = load_paper_witness("W3", 2).expr.matrix()
     fixing = [g for g in permutations(range(3)) if _fixes(g, w_mat)]
     assert len(fixing) < 6
+
+    # realness and the span are read from the coefficients too: an XY term
+    # makes the program complex and puts its X/Y mask 110 in the span
+    real, span, _ = sdp_module._symmetries(load_paper_witness("C4", 1).expr.coords())
+    assert real and span == {0b0000, 0b0011, 0b1100, 0b1111}
+    expr = ObservableExpr(3, {"III": 0.125, "XYI": 0.1, "ZIZ": 0.05})
+    assert sdp_module._symmetries(expr.coords()) == (False, {0b000, 0b110}, ((0, 1, 2),))
 
 
 def _fixes(g, mat):
@@ -513,10 +598,9 @@ def _margin_witnesses():
 def test_margin_reduction_matches_the_full_program(expr):
     tol = SolverTolerances()
     n = expr.n
-    reduced = sdp_module._margin_splits(
-        expr, sdp_module._witness_span(expr), sdp_module._witness_symmetries(expr), tol
-    )
-    full = sdp_module._margin_splits(expr, _full_span(n), (tuple(range(n)),), tol)
+    reduced = sdp_module._margin_splits(expr, *sdp_module._symmetries(expr.coords()), tol)
+    real = not np.any(expr.matrix().imag)
+    full = sdp_module._margin_splits(expr, real, _full_span(n), (tuple(range(n)),), tol)
     assert set(reduced) == set(full) == set(pauli.bipartitions(n))
     w_mat = expr.matrix()
     for part, (achieved, bound, p_mat, q_mat) in reduced.items():
@@ -541,3 +625,18 @@ def test_margin_reduction_matches_the_full_program(expr):
 def test_decomposition_margins_is_deterministic():
     expr = load_paper_witness("W3", 1).expr  # rounded: needs the Newton loop
     assert decomposition_margins(expr) == decomposition_margins(expr)
+
+
+def test_a_bound_below_the_achieved_margin_reads_inf(monkeypatch):
+    # A path that stops at once, at t = 1e15, gives a bound of about the
+    # start's lambda, below the margin of the start's own split. Any split's
+    # margin is a lower bound on the optimum, so that bound is wrong and no
+    # bound is reported.
+    def one_stage(prog, y, r, gap, max_iter):
+        yield 1e15, "centered", y, r, 0
+
+    monkeypatch.setattr(sdp_module, "_barrier_path", one_stage)
+    margins = decomposition_margins(load_paper_witness("W3", 1).expr)
+    assert len(margins) == 3
+    for achieved, bound in margins.values():
+        assert np.isfinite(achieved) and bound == np.inf

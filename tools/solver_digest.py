@@ -9,6 +9,11 @@ whether a change moved any iterate:
   as the certify-catalog workload has them): the repr of every
   decomposition_margins pair and a hash of the verify_witness certificates
   (None when it rejects the witness);
+- at the end of each synth, edl and margins line, the reduced sizes the
+  solver ran, read from every program passed to ``sdp._barrier_path``:
+  ``coords`` the entry coordinates per block, ``blocks`` the cut blocks
+  and ``orbits`` the word orbits, each summed over the programs (a margin
+  program has one block and one direction; "-" when no program ran);
 - last, the Newton step totals of the two synthesis workloads and the
   number of margin Newton systems of the certify-catalog workload (calls of
   ``sdp._curvature`` made by ``decomposition_margins``, one per Newton
@@ -48,29 +53,55 @@ def certificate_hash(certificates) -> str:
     return digest.hexdigest()
 
 
-def synthesis_line(label: str, result) -> str:
+def synthesis_line(label: str, result, sizes: str) -> str:
     sol = result.solution
     return (f"{label}: steps={sol.iterations} alpha={result.alpha!r} "
-            f"gap={sol.duality_gap!r} cert={certificate_hash(sol.certificates)}")
+            f"gap={sol.duality_gap!r} cert={certificate_hash(sol.certificates)} {sizes}")
+
+
+class ProgramSizes:
+    """Takes the place of ``sdp._barrier_path`` for the rest of the run and
+    records every program it is given."""
+
+    def __init__(self):
+        self.programs = []
+        self.path = sdp._barrier_path
+        sdp._barrier_path = self
+
+    def __call__(self, prog, *args):
+        self.programs.append(prog)
+        return self.path(prog, *args)
+
+    def take(self) -> str:
+        """The reduced sizes of the programs recorded since the last call."""
+        progs, self.programs = self.programs, []
+        if not progs:
+            return "coords=- blocks=0 orbits=0"
+        coords = "/".join(str(s) for s in sorted({p.basis.size for p in progs}))
+        blocks = sum(len(p.transposes) for p in progs)
+        return f"coords={coords} blocks={blocks} orbits={sum(p.c.size for p in progs)}"
 
 
 def main() -> None:
     rho = {name: states.density(states.make_state(name)) for name in states.STATE_NAMES}
 
+    sizes = ProgramSizes()
     steps = 0
     cases = [(state, family) for state, family, _, _ in SUMMARY_ROWS]
     cases += [("C4", family) for family in C4_DEVIATION_FAMILIES]
     for state, family in cases:
         result = sdp.synthesize(rho[state], family)
         steps += result.solution.iterations
-        print(synthesis_line(f"synth {state} {_label(family)}", result))
+        print(synthesis_line(f"synth {state} {_label(family)}", result, sizes.take()))
     synth_steps = steps
 
     steps = 0
     for state in DETECTION_LENGTH:
-        for k, result in sdp.edl_scan(rho[state]).items():
+        n = rho[state].shape[0].bit_length() - 1
+        for k in range(1, n + 1):  # the solves of sdp.edl_scan, one at a time
+            result = sdp.synthesize(rho[state], sdp.all_k_family(n, k))
             steps += result.solution.iterations
-            print(synthesis_line(f"edl {state} k={k}", result))
+            print(synthesis_line(f"edl {state} k={k}", result, sizes.take()))
     scan_steps = steps
 
     entries = [(w.label, w.expr) for w in witness.load_catalog()]
@@ -95,8 +126,9 @@ def main() -> None:
             f"{''.join(map(str, sorted(part)))}:{margins[part][0]!r},{margins[part][1]!r}"
             for part in sorted(margins, key=sorted)
         )
-        print(f"margins {label}: {pairs}")
+        print(f"margins {label}: {pairs} {sizes.take()}")
         print(f"verify {label}: {certificate_hash(sdp.verify_witness(expr))}")
+        sizes.take()
 
     print(f"newton steps: synth-table {synth_steps}, edl-scan {scan_steps}")
     print(f"margin newton systems: certify-catalog {systems}")
