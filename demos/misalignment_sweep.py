@@ -10,6 +10,7 @@ Writes one CSV per mode next to this script.
 Run:  python3 demos/misalignment_sweep.py
 """
 
+import csv
 import pathlib
 
 from edlkit import robustness, states
@@ -30,7 +31,9 @@ def main():
         theta = robustness.crossover(pair_witness, projector, rho, mode)
         out = HERE / f"tolerance_{mode}.csv"
         with open(out, "w", newline="") as fh:
-            robustness.write_curves_csv(fh, curve_a, curve_b)
+            writer = csv.writer(fh)  # floats at full precision, '' where a witness is blind
+            writer.writerow(["theta", "tolerance_a", "tolerance_b"])
+            writer.writerows(zip(grid, curve_a.tolerances, curve_b.tolerances))
         print(f"{mode:9s}: crossover at theta = {theta:.4f} rad -> {out.name}")
 
         # a snapshot on either side of the crossing

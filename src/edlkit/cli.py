@@ -9,8 +9,15 @@ Subcommands expose the library as reproducible batch operations:
   simulate    plan settings, draw counts, estimate a witness or fidelity
   estimate    recompute a witness or fidelity from an expectation CSV
 
-Conventions: stdout carries data (CSV/JSON), stderr carries one-line
-summaries and diagnostics. Printed numbers use 6 significant digits; CSV and
+Options that a flag or a ``--config`` line can set are listed once, with
+their parser and default, in ``_OPTIONS``: a flag beats a config entry,
+which beats the default. A subcommand ignores the config keys it does not
+take, so one file can serve several subcommands.
+
+Conventions: stdout (or --out) carries data, stderr carries one-line
+summaries and diagnostics. Payloads go out as CSV/JSON rows or as one JSON
+document; simulate's expectation CSV and count files use the formats that
+``measure`` reads back. Printed numbers use 6 significant digits; CSV and
 JSON payloads carry full precision. Exit codes: 0 success, 2 input error,
 3 "not detected", 4 solver failure.
 """
@@ -18,15 +25,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
-import math
 import os
 import re
 import sys
 
 import numpy as np
 
-from . import measure, robustness, states, witness as witness_mod
+from . import measure, pauli, robustness, states, witness as witness_mod
 from .sdp import SolverError, SolverTolerances, edl_scan, synthesize
 from .witness import Witness, evaluate, p_noise, projector_witness
 
@@ -73,6 +80,47 @@ def _load_witness(text: str) -> Witness:
         raise InputError(f"witness file {text!r}: {exc}")
 
 
+def _target_state(args, label: str, n: int, own: str | None) -> tuple[np.ndarray, str]:
+    """Density matrix and name of --state, else of the target's own state,
+    checked to act on the target's n qubits."""
+    text = args.state or own
+    if text is None:
+        raise InputError(f"{label} has no target state; pass --state")
+    rho, name = _load_state(text)
+    if rho.shape[0] != 2**n:
+        raise InputError(f"{label} acts on {n} qubits, state dimension is {rho.shape[0]}")
+    return rho, name
+
+
+def _measured(args):
+    """The --witness or --fidelity target of simulate and estimate: its label,
+    qubit count and own state, the settings and operators that measure it, and
+    the map from the operators' records to its (value, sigma)."""
+    if args.witness is not None:
+        w = _load_witness(args.witness)
+        plan = measure.plan_settings(w.expr)
+        return (
+            w.label, w.expr.n, w.target_state, [setting for setting, _ in plan],
+            [word for _, words in plan for word in words],
+            lambda records: measure.combine(records, w.expr),
+        )
+    state = args.fidelity.upper()
+    if state not in states.STATE_NAMES:
+        raise InputError(f"unknown state {args.fidelity!r}")
+    plan = measure.fidelity_settings(state)
+    return (
+        f"F({state})", plan.n, state, plan.settings, [text for _, text in plan.record_combo],
+        lambda records: measure.combine_plan(records, plan),
+    )
+
+
+def _read_records(path: str, n: int):
+    try:
+        return measure.read_expectation_csv(path, n)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"expectations {path!r}: {exc}")
+
+
 def _parse_family(text: str, n: int) -> tuple[frozenset[int], ...]:
     """Comma-separated digit strings, e.g. '12,23,34' -> subset family."""
     subsets = []
@@ -108,7 +156,22 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-_CONFIG_KEYS = {"gap", "feas", "max_iter", "shots", "seed", "format", "mode", "theta"}
+# --- options -------------------------------------------------------------
+
+_MODES = {"all": "all_axes", "y": "y_only", **{mode: mode for mode in robustness.MODES}}
+
+# Every option a flag or a config line can set: key -> (parser, default as
+# the text a flag would give, help). A parser raises KeyError or ValueError
+# on text it does not take.
+_OPTIONS = {
+    "gap": (float, str(SolverTolerances.gap), "duality-gap tolerance"),
+    "max_iter": (int, str(SolverTolerances.max_iter), "Newton-step cap"),
+    "format": ({"csv": "csv", "json": "json"}.__getitem__, "csv", "payload format, csv or json"),
+    "mode": (_MODES.__getitem__, "all", "misaligned axes, all or y"),
+    "theta": (_parse_grid, "0:0.6:0.005", "sweep grid start:stop:step"),
+    "shots": (int, "100000", "shots per setting"),
+    "seed": (int, "0", "base seed"),
+}
 
 
 def _read_config(path: str | None) -> dict[str, str]:
@@ -125,7 +188,7 @@ def _read_config(path: str | None) -> dict[str, str]:
                 if "=" not in line:
                     raise InputError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
+                if key not in _OPTIONS:
                     raise InputError(f"{path}:{lineno}: unknown key {key!r}")
                 cfg[key] = value
     except OSError as exc:
@@ -133,25 +196,20 @@ def _read_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def _pick(flag, cfg: dict[str, str], key: str, cast, fallback):
-    """Flags beat config-file entries beat defaults."""
-    if flag is not None:
-        return flag
-    if key in cfg:
+def _resolve_options(args) -> None:
+    """Replace each option the subcommand takes by its parsed value: the
+    flag, else the config entry, else the default."""
+    cfg = _read_config(args.config)
+    for key, (parse, default, _) in _OPTIONS.items():
+        if key not in vars(args):
+            continue
+        text = getattr(args, key)
+        if text is None:
+            text = cfg.get(key, default)
         try:
-            return cast(cfg[key])
-        except ValueError:
-            raise InputError(f"config key {key}: bad value {cfg[key]!r}")
-    return fallback
-
-
-def _tolerances(args, cfg: dict[str, str]) -> SolverTolerances:
-    defaults = SolverTolerances()
-    return SolverTolerances(
-        gap=_pick(args.gap, cfg, "gap", float, defaults.gap),
-        feas=_pick(args.feas, cfg, "feas", float, defaults.feas),
-        max_iter=_pick(args.max_iter, cfg, "max_iter", int, defaults.max_iter),
-    )
+            setattr(args, key, parse(text))
+        except (KeyError, ValueError):
+            raise InputError(f"{key}: bad value {text!r}")
 
 
 # --- output helpers ------------------------------------------------------
@@ -163,16 +221,20 @@ def _open_out(path: str | None):
     return open(path, "w", newline="")
 
 
-def _emit_rows(rows: list[dict], fieldnames: list[str], fmt: str, out: str | None) -> None:
-    """Tabular output; CSV and JSON encode identical full-precision values."""
+def _write_json(doc, out: str | None) -> None:
     with _open_out(out) as fh:
-        if fmt == "json":
-            json.dump(rows, fh, indent=1)
-            fh.write("\n")
-            return
-        import csv
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+
+def _write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
+    """Tabular output; CSV and JSON encode identical full-precision values
+    (a CSV float by repr, None as an empty field)."""
+    if fmt == "json":
+        _write_json(rows, out)
+        return
+    with _open_out(out) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(
@@ -188,6 +250,17 @@ def _g(x: float | None) -> str:
     return "n/a" if x is None else f"{x:.6g}"
 
 
+def _verdict(args, label: str, value: float, sigma: float, detail: str = "") -> int:
+    """The one-line summary of simulate and estimate, and their exit code: 3
+    for a witness that does not detect, else 0."""
+    summary = f"{label}: value={_g(value)} sigma={_g(sigma)}{detail}"
+    if args.witness is None:
+        _say(summary)
+        return 0
+    _say(f"{summary} detected={'yes' if value < 0 else 'no'}")
+    return 0 if value < 0 else 3
+
+
 def _matrix_pairs(mat: np.ndarray) -> list[list[list[float]]]:
     """Row-major [re, im] pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
@@ -201,16 +274,13 @@ def _part_key(part: frozenset[int]) -> str:
 
 
 def cmd_synth(args) -> int:
-    cfg = _read_config(args.config)
-    tol = _tolerances(args, cfg)
+    tol = SolverTolerances(gap=args.gap, max_iter=args.max_iter)
     rho, state_name = _load_state(args.state)
     n = rho.shape[0].bit_length() - 1
     family = _parse_family(args.family, n)
     result = synthesize(rho, family, tol)
     label = args.label or f"{state_name}:{args.family}"
     w = result.witness(family, label=label, target_state=state_name if state_name in states.STATE_NAMES else None)
-
-    from . import pauli
 
     payload = w.to_json_dict()
     certificates = {}
@@ -229,9 +299,7 @@ def cmd_synth(args) -> int:
     payload["duality_gap"] = result.solution.duality_gap
     payload["iterations"] = result.solution.iterations
 
-    with _open_out(args.out) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    _write_json(payload, args.out)
     _say(
         f"alpha={_g(result.alpha)} p_noise={_g(result.p_noise)} "
         f"detected={'yes' if result.detected else 'no'} max_residual={_g(max_residual)}"
@@ -240,14 +308,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _read_config(args.config)
     w = _load_witness(args.witness)
-    state_arg = args.state or w.target_state
-    if state_arg is None:
-        raise InputError("witness has no target state; pass --state")
-    rho, state_name = _load_state(state_arg)
-    if rho.shape[0] != 2**w.expr.n:
-        raise InputError(f"witness acts on {w.expr.n} qubits, state dimension is {rho.shape[0]}")
+    rho, state_name = _target_state(args, w.label, w.expr.n, w.target_state)
     if not 0.0 <= args.noise < 1.0:
         raise InputError("--noise must lie in [0, 1)")
     noisy = states.white_noise(rho, args.noise)
@@ -261,30 +323,21 @@ def cmd_eval(args) -> int:
         "p_noise": tol_noise,
         "detected": bool(value < 0),
     }
-    fmt = _pick(args.format, cfg, "format", str, "csv")
-    _emit_rows([row], list(row), fmt, args.out)
+    _write_rows([row], args.format, args.out)
     _say(f"value={_g(value)} p_noise={_g(tol_noise)} detected={'yes' if value < 0 else 'no'}")
     return 0 if value < 0 else 3
 
 
 def cmd_robustness(args) -> int:
-    cfg = _read_config(args.config)
-    mode_arg = _pick(args.mode, cfg, "mode", str, "all")
-    mode = {"all": "all_axes", "all_axes": "all_axes", "y": "y_only", "y_only": "y_only"}.get(mode_arg)
-    if mode is None:
-        raise InputError(f"unknown mode {mode_arg!r} (expected all or y)")
     w_a = _load_witness(args.witness)
-    state_arg = args.state or w_a.target_state
-    if state_arg is None:
-        raise InputError("witness has no target state; pass --state")
-    rho, state_name = _load_state(state_arg)
+    rho, state_name = _target_state(args, w_a.label, w_a.expr.n, w_a.target_state)
     if args.compare.strip().lower() == "projector":
         if state_name not in states.STATE_NAMES:
             raise InputError("--compare projector needs a named state")
         w_b = projector_witness(states.make_state(state_name), label=f"{state_name} projector")
     else:
         w_b = _load_witness(args.compare)
-    grid = _parse_grid(_pick(args.theta, cfg, "theta", str, "0:0.6:0.005"))
+    grid, mode = args.theta, args.mode
     curve_a = robustness.tolerance_curve(w_a, rho, grid, mode)
     curve_b = robustness.tolerance_curve(w_b, rho, grid, mode)
     summary = {
@@ -301,11 +354,13 @@ def cmd_robustness(args) -> int:
         summary["crossover"] = robustness.crossover(w_a, w_b, rho, mode)
     except ValueError as exc:
         summary["note"] = str(exc)
-    with _open_out(args.out) as fh:
-        robustness.write_curves_csv(fh, curve_a, curve_b)
+    rows = [
+        {"theta": theta, "tolerance_a": ta, "tolerance_b": tb}
+        for theta, ta, tb in zip(curve_a.thetas, curve_a.tolerances, curve_b.tolerances)
+    ]
+    _write_rows(rows, "csv", args.out)
     if args.out is not None:
-        json.dump(summary, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        _write_json(summary, None)
     else:
         _say(json.dumps(summary))
     _say(f"crossover={_g(summary['crossover'])} mode={mode}")
@@ -313,141 +368,62 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_edl(args) -> int:
-    cfg = _read_config(args.config)
-    tol = _tolerances(args, cfg)
+    tol = SolverTolerances(gap=args.gap, max_iter=args.max_iter)
     rho, state_name = _load_state(args.state)
     scan = edl_scan(rho, tol)
-    rows = []
-    edl_value = None
-    for k in sorted(scan):
-        res = scan[k]
-        rows.append(
-            {
-                "subset_size": k,
-                "alpha": res.alpha,
-                "p_noise": res.p_noise,
-                "detected": res.detected,
-            }
-        )
-        if edl_value is None and res.detected:
-            edl_value = k
-    fmt = _pick(args.format, cfg, "format", str, "csv")
-    _emit_rows(rows, ["subset_size", "alpha", "p_noise", "detected"], fmt, args.out)
-    n = rho.shape[0].bit_length() - 1
-    if edl_value is None:
-        _say(f"{state_name}: no detecting subset size up to {n}")
+    rows = [
+        {"subset_size": k, "alpha": res.alpha, "p_noise": res.p_noise, "detected": res.detected}
+        for k, res in sorted(scan.items())
+    ]
+    _write_rows(rows, args.format, args.out)
+    detecting = [row["subset_size"] for row in rows if row["detected"]]
+    if detecting:
+        _say(f"{state_name}: smallest detecting subset size = {detecting[0]}")
     else:
-        _say(f"{state_name}: smallest detecting subset size = {edl_value}")
+        _say(f"{state_name}: no detecting subset size up to {rho.shape[0].bit_length() - 1}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = _read_config(args.config)
-    shots = _pick(args.shots, cfg, "shots", int, 100_000)
-    seed = _pick(args.seed, cfg, "seed", int, 0)
-    if shots < 1:
+    if args.shots < 1:
         raise InputError("--shots must be at least 1")
-    if args.witness is not None:
-        w = _load_witness(args.witness)
-        state_arg = args.state or w.target_state
-        if state_arg is None:
-            raise InputError("witness has no target state; pass --state")
-        rho, _ = _load_state(state_arg)
-        if rho.shape[0] != 2**w.expr.n:
-            raise InputError(f"witness acts on {w.expr.n} qubits, state dimension is {rho.shape[0]}")
-        if args.noise:
-            rho = states.white_noise(rho, args.noise)
-        plan = measure.plan_settings(w.expr)
-        settings = [setting for setting, _ in plan]
-        tables = measure.simulate_counts(rho, settings, shots, seed)
-        ops = [measure.parse_operator(word, w.expr.n) for _, words in plan for word in words]
-        records = measure.estimate_expectations(tables, ops)
-        value, sigma = measure.combine(records, w.expr)
-        target = w.label
-        detected: bool | None = bool(value < 0)
-    else:
-        state = args.fidelity.upper()
-        if state not in states.STATE_NAMES:
-            raise InputError(f"unknown state {args.fidelity!r}")
-        rho, _ = _load_state(args.state or state)
-        plan = measure.fidelity_settings(state)
-        if rho.shape[0] != 2**plan.n:
-            raise InputError(f"{state} fidelity needs {plan.n} qubits, state dimension is {rho.shape[0]}")
-        if args.noise:
-            rho = states.white_noise(rho, args.noise)
-        tables = measure.simulate_counts(rho, plan.settings, shots, seed)
-        ops = [measure.parse_operator(text, plan.n) for _, text in plan.record_combo]
-        records = measure.estimate_expectations(tables, ops)
-        value, sigma = measure.combine_plan(records, plan)
-        target = f"F({state})"
-        detected = None
+    label, n, own_state, settings, operators, combine = _measured(args)
+    rho, _ = _target_state(args, label, n, own_state)
+    if args.noise:
+        rho = states.white_noise(rho, args.noise)
+    tables = measure.simulate_counts(rho, settings, args.shots, args.seed)
+    ops = [measure.parse_operator(text, n) for text in operators]
+    records = measure.estimate_expectations(tables, ops)
+    value, sigma = combine(records)
     with _open_out(args.out) as fh:
         measure.write_expectation_csv(fh, records)
     if args.counts_dir is not None:
         os.makedirs(args.counts_dir, exist_ok=True)
-        manifest = measure.write_count_files(args.counts_dir, tables, seed)
+        manifest = measure.write_count_files(args.counts_dir, tables, args.seed)
         _say(f"wrote {len(manifest['settings'])} count files to {args.counts_dir}")
-    _say(
-        f"{target}: value={_g(value)} sigma={_g(sigma)} shots={shots} seed={seed}"
-        + ("" if detected is None else f" detected={'yes' if detected else 'no'}")
-    )
-    if detected is None:
-        return 0
-    return 0 if detected else 3
+    return _verdict(args, label, value, sigma, f" shots={args.shots} seed={args.seed}")
 
 
 def cmd_estimate(args) -> int:
-    cfg = _read_config(args.config)
+    label, n, _, _, _, combine = _measured(args)
+    value, sigma = combine(_read_records(args.expectations, n))
+    row = {"target": label, "value": value, "sigma": sigma}
     if args.witness is not None:
-        w = _load_witness(args.witness)
-        n = w.expr.n
-        records = _read_records(args.expectations, n)
-        value, sigma = measure.combine(records, w.expr)
-        target = w.label
-        detected: bool | None = bool(value < 0)
-    else:
-        state = args.fidelity.upper()
-        if state not in states.STATE_NAMES:
-            raise InputError(f"unknown state {args.fidelity!r}")
-        plan = measure.fidelity_settings(state)
-        records = _read_records(args.expectations, plan.n)
-        value, sigma = measure.combine_plan(records, plan)
-        target = f"F({state})"
-        detected = None
-    row = {"target": target, "value": value, "sigma": sigma}
-    if detected is not None:
-        row["detected"] = detected
-    fmt = _pick(args.format, cfg, "format", str, "csv")
-    _emit_rows([row], list(row), fmt, args.out)
-    _say(f"{target}: value={_g(value)} sigma={_g(sigma)}")
-    if detected is None:
-        return 0
-    return 0 if detected else 3
-
-
-def _read_records(path: str, n: int):
-    try:
-        return measure.read_expectation_csv(path, n)
-    except OSError as exc:
-        raise InputError(f"expectations {path!r}: {exc}")
-    except ValueError as exc:
-        raise InputError(f"expectations {path!r}: {exc}")
+        row["detected"] = bool(value < 0)
+    _write_rows([row], args.format, args.out)
+    return _verdict(args, label, value, sigma)
 
 
 # --- parser --------------------------------------------------------------
 
 
-def _add_solver_flags(sub) -> None:
-    sub.add_argument("--gap", type=float, default=None, help="duality-gap tolerance")
-    sub.add_argument("--feas", type=float, default=None, help="feasibility tolerance")
-    sub.add_argument("--max-iter", type=int, default=None, dest="max_iter", help="iteration cap")
-
-
-def _add_common(sub, fmt: bool = True) -> None:
+def _add_options(sub, *keys: str) -> None:
+    """--config, --out and the named ``_OPTIONS`` entries."""
     sub.add_argument("--config", default=None, help="key=value config file (flags win)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    if fmt:
-        sub.add_argument("--format", choices=("csv", "json"), default=None)
+    for key in keys:
+        _, default, text = _OPTIONS[key]
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, help=f"{text} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,30 +437,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="state name (w3/w4/d4/c4) or .npy file")
     p.add_argument("--family", required=True, help="comma-separated subsets, e.g. 12,23,34")
     p.add_argument("--label", default=None, help="label stored in the witness JSON")
-    _add_solver_flags(p)
-    _add_common(p, fmt=False)
+    _add_options(p, "gap", "max_iter")
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("eval", help="evaluate a witness on a (noisy) state")
     p.add_argument("--witness", required=True, help="catalog label (e.g. D4-5) or JSON file")
     p.add_argument("--state", default=None, help="state name or .npy file (default: witness target)")
     p.add_argument("--noise", type=float, default=0.0, help="white-noise fraction p")
-    _add_common(p)
+    _add_options(p, "format")
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("robustness", help="misalignment tolerance sweep and crossover")
     p.add_argument("--witness", required=True, help="catalog label or JSON file")
     p.add_argument("--compare", required=True, help="catalog label, JSON file, or 'projector'")
     p.add_argument("--state", default=None, help="state name or .npy file (default: witness target)")
-    p.add_argument("--mode", default=None, help="all (default) or y")
-    p.add_argument("--theta", default=None, help="sweep grid start:stop:step (default 0:0.6:0.005)")
-    _add_common(p, fmt=False)
+    _add_options(p, "mode", "theta")
     p.set_defaults(func=cmd_robustness)
 
     p = subs.add_parser("edl", help="per-subset-size scan; smallest detecting size")
     p.add_argument("--state", required=True, help="state name or .npy file")
-    _add_solver_flags(p)
-    _add_common(p)
+    _add_options(p, "gap", "max_iter", "format")
     p.set_defaults(func=cmd_edl)
 
     p = subs.add_parser("simulate", help="simulate counts and estimate a witness or fidelity")
@@ -493,10 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--fidelity", default=None, help="state name (w3/w4/d4/c4)")
     p.add_argument("--state", default=None, help="state to sample from (default: the target)")
     p.add_argument("--noise", type=float, default=0.0, help="white-noise fraction p")
-    p.add_argument("--shots", type=int, default=None, help="shots per setting (default 100000)")
-    p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     p.add_argument("--counts-dir", default=None, dest="counts_dir", help="also write raw count files here")
-    _add_common(p, fmt=False)
+    _add_options(p, "shots", "seed")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("estimate", help="witness or fidelity from an expectation CSV")
@@ -504,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--witness", default=None, help="catalog label or JSON file")
     group.add_argument("--fidelity", default=None, help="state name (w3/w4/d4/c4)")
-    _add_common(p)
+    _add_options(p, "format")
     p.set_defaults(func=cmd_estimate)
 
     return parser
@@ -514,19 +484,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_options(args)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, KeyError, ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return 2
     except SolverError as exc:
         _say(f"solver failure: {exc}")
         return 4
-    except (KeyError, ValueError) as exc:
-        _say(f"error: {exc}")
-        return 2
-    except OSError as exc:
-        _say(f"error: {exc}")
-        return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ evaluate both witnesses the same way.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -177,17 +176,3 @@ def crossover(
             lo, lo_negative = mid, mid_negative
     return 0.5 * (lo + up)
 
-
-def write_curves_csv(fh, curve_a: ToleranceCurve, curve_b: ToleranceCurve) -> None:
-    """Two-curve sweep as CSV rows theta,tolerance_a,tolerance_b ('' = absent),
-    written to the open text stream ``fh``."""
-    if curve_a.thetas != curve_b.thetas:
-        raise ValueError("curves must share one theta grid")
-    writer = csv.writer(fh)
-    writer.writerow(["theta", "tolerance_a", "tolerance_b"])
-    for theta, ta, tb in zip(curve_a.thetas, curve_a.tolerances, curve_b.tolerances):
-        writer.writerow([
-            f"{theta:.6g}",
-            "" if ta is None else repr(ta),
-            "" if tb is None else repr(tb),
-        ])

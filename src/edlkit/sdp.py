@@ -67,8 +67,8 @@ too, and the coordinates it forces to zero or to each other are left out
   with i^j in V, in the basis of the full one's coordinates at those
   entries: T_A permutes them and the curvature there is the principal
   submatrix of the full one.
-- group: the qubit permutations that map every row to an exactly equal
-  row (no tolerance). They permute the free words and the cuts {A, A^c},
+- group: the qubit permutations that map every row to an equal row
+  (below). They permute the free words and the cuts {A, A^c},
   so the witness is constant on each word orbit and the blocks of a cut
   orbit are the permuted copies of one representative's blocks. Synthesis
   carries one variable per word orbit, whose matrix is the orbit sum S_o
@@ -80,7 +80,13 @@ too, and the coordinates it forces to zero or to each other are left out
   the iterates are the same; only rounding differs. A certificate is
   returned for every canonical bipartition B: P_B = U_g P_A U_g^T with g
   carrying the representative's cut {A, A^c} to {B, B^c}, and Q_B =
-  T_B(W - P_B).
+  T_B(W - P_B). Equal means exactly for the margin program, whose
+  non-representative cuts borrow their representative's bound, and within
+  1e-12 of the row's largest entry for synthesis, whose targets are
+  rounded (at n >= 5, targets equal in exact arithmetic differ in the last
+  bit). A map admitted within that tolerance only makes the witness
+  constant on its orbits, a smaller feasible set, and every certificate is
+  rebuilt exactly from that witness, so the result stays certified.
 
 Synthesis sees rho only through its free words, so a coherence of rho that
 the family cannot reach is not carried: W_n, Dicke and the linear cluster
@@ -112,6 +118,12 @@ class SolverTolerances:
     gap: float = 1e-7
     feas: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self):
+        if not (0 < self.gap < np.inf and 0 < self.feas < np.inf):
+            raise ValueError(f"gap and feas must be finite and positive, got {self.gap!r}, {self.feas!r}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
 class SolverError(RuntimeError):
@@ -376,7 +388,7 @@ def _xor_span(masks) -> frozenset[int]:
     return frozenset(span)
 
 
-def _symmetries(x: np.ndarray, *fixed: np.ndarray):
+def _symmetries(x: np.ndarray, *fixed: np.ndarray, rtol: float = 0.0):
     """(real, span, group): the reductions of a program read from its Pauli
     coordinates x, one per word of ``pauli.all_words(n)`` (see the module
     docstring).
@@ -384,8 +396,9 @@ def _symmetries(x: np.ndarray, *fixed: np.ndarray):
     ``real``: no word with an odd number of Y letters has a nonzero
     coordinate. ``span``: the F2-span of the X/Y masks of the words with
     nonzero coordinates. ``group``: the qubit permutations that map x and
-    every row of ``fixed`` to exactly equal rows (no tolerance), in
-    ``permutations`` order, identity first; g sends qubit q+1 to g[q]+1.
+    every row of ``fixed`` to rows equal to within ``rtol`` times the row's
+    largest magnitude (0: exactly), in ``permutations`` order, identity
+    first; g sends qubit q+1 to g[q]+1.
     """
     n = pauli._infer_n_coords(x.size)
     words = np.flatnonzero(x)
@@ -393,15 +406,19 @@ def _symmetries(x: np.ndarray, *fixed: np.ndarray):
     span = _xor_span(pauli.monomial_form(n)[0][words, 0].tolist())
     # A qubit permutation permutes the axes of the rows read as (4,)*n
     # tensors; the axes taken in the order g are the image under g's
-    # inverse, which fixes the rows exactly when g does. The permutations
-    # that fix them form a group, so one found inside adds every product
-    # with the ones found so far, and one found outside rules out its coset.
-    rows = np.stack((x,) + fixed).reshape((-1,) + (4,) * n)
+    # inverse, which fixes the rows (within the slack) when g does. The
+    # permutations that fix them exactly form a group; with a slack the
+    # group they generate is taken, which the module docstring shows sound
+    # for synthesis. So one found inside adds every product with the ones
+    # found so far, and one found outside rules out its coset.
+    rows = np.stack((x,) + fixed)
+    slack = (rtol * np.abs(rows).max(axis=1)).reshape((-1,) + (1,) * n)
+    rows = rows.reshape((-1,) + (4,) * n)
     group, outside, gens = {tuple(range(n))}, set(), []
     for g in permutations(range(n)):
         if g in group or g in outside:
             continue
-        if not np.array_equal(rows.transpose(0, *(1 + q for q in g)), rows):
+        if np.any(np.abs(rows.transpose(0, *(1 + q for q in g)) - rows) > slack):
             outside.update(tuple(map(g.__getitem__, h)) for h in group)
             continue
         gens.append(g)
@@ -630,7 +647,7 @@ def synthesize(
     target, free = np.zeros((2, 4**problem.n))
     target[problem.free_index] = problem.target_vector
     free[problem.free_index] = 1.0
-    return _synthesize(problem, *_symmetries(target, free), tol)
+    return _synthesize(problem, *_symmetries(target, free, rtol=1e-12), tol)
 
 
 def _synthesize(

@@ -9,7 +9,9 @@ import pytest
 
 from edlkit import states
 from edlkit.cli import main
-from edlkit.witness import load_paper_witness
+from edlkit.robustness import default_grid, tolerance_curve
+from edlkit.sdp import SolverTolerances
+from edlkit.witness import load_paper_witness, projector_witness
 
 
 def run(capsys, *argv):
@@ -167,6 +169,38 @@ def test_robustness_compare_projector(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 121
     assert float(rows[0]["tolerance_b"]) == pytest.approx(16 / 45, abs=1e-9)
+    # every written theta and tolerance reads back as the evaluated point
+    d4 = states.density(states.make_state("D4"))
+    curves = [
+        tolerance_curve(w, d4, default_grid())
+        for w in (load_paper_witness("D4", 5), projector_witness(states.make_state("D4")))
+    ]
+    points = zip(curves[0].thetas, curves[0].tolerances, curves[1].tolerances)
+    for row, point in zip(rows, points):
+        read = [None if text == "" else float(text) for text in row.values()]
+        assert read == list(point)
+
+
+def test_robustness_curves_csv_roundtrip(tmp_path, capsys):
+    path = tmp_path / "curves.csv"
+    code, _, _ = run(
+        capsys, "robustness", "--witness", "W3-1", "--compare", "projector",
+        "--theta", "0:1.2:0.1", "--out", str(path),
+    )
+    assert code == 0
+    w3 = states.density(states.make_state("W3"))
+    curve = tolerance_curve(load_paper_witness("W3", 1), w3, default_grid(stop=1.2, step=0.1))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(curve.thetas)
+    assert list(rows[0]) == ["theta", "tolerance_a", "tolerance_b"]
+    assert None in curve.tolerances  # the witness goes blind inside the grid
+    for row, theta, ta in zip(rows, curve.thetas, curve.tolerances):
+        assert float(row["theta"]) == theta
+        if ta is None:
+            assert row["tolerance_a"] == ""
+        else:
+            assert float(row["tolerance_a"]) == ta  # repr() round-trips exactly
 
 
 def test_robustness_y_mode(capsys):
@@ -385,6 +419,40 @@ def test_config_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--state", "w3", "--family", "12", "--config", str(cfg))
     assert code == 2
     assert "unknown key" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        pytest.param(("eval", "--witness", "D4-5"), "format=xml", id="format"),
+        pytest.param(("robustness", "--witness", "D4-5", "--compare", "projector"), "mode=q", id="mode"),
+        pytest.param(("synth", "--state", "w3", "--family", "12,23"), "max_iter=2.5", id="max_iter"),
+        pytest.param(("synth", "--state", "w3", "--family", "12,23"), "feas=1e-8", id="feas-removed"),
+    ],
+)
+def test_config_bad_entry_exits_2(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_solver_tolerances_are_validated(capsys):
+    bad_fields = (
+        {"gap": 0.0}, {"gap": -1.0}, {"gap": float("nan")}, {"feas": float("inf")},
+        {"max_iter": -1}, {"max_iter": 2.5},
+    )
+    for bad in bad_fields:
+        with pytest.raises(ValueError):
+            SolverTolerances(**bad)
+    # unchecked, --gap=0 divides by zero, --gap=-1 fails the line search and
+    # --gap=nan runs one stage to a false "detected=no"
+    for flag in ("--gap=0", "--gap=-1", "--gap=nan", "--max-iter=-1"):
+        code, out, err = run(capsys, "synth", "--state", "w3", "--family", "12,23", flag)
+        assert code == 2, flag
+        assert out == "" and "error:" in err
 
 
 def test_config_missing_file(capsys):

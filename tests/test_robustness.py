@@ -1,4 +1,3 @@
-import csv
 import itertools
 import math
 
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from edlkit import pauli, robustness, states
 from edlkit.pauli import PAULI_1Q
-from edlkit.robustness import MisalignmentSpec, ToleranceCurve, crossover, default_grid, misalign_expr, tolerance_curve, write_curves_csv
+from edlkit.robustness import MisalignmentSpec, ToleranceCurve, crossover, default_grid, misalign_expr, tolerance_curve
 from edlkit.witness import ObservableExpr, evaluate, load_catalog, load_paper_witness, p_noise, projector_witness
 
 D4_RHO = states.density(states.make_state("D4"))
@@ -130,35 +129,6 @@ def test_crossover_requires_a_sign_change():
     w = load_paper_witness("D4", 5)
     with pytest.raises(ValueError):
         crossover(w, w, D4_RHO)
-
-
-def test_write_curves_csv_roundtrip(tmp_path):
-    w = load_paper_witness("W3", 1)
-    rho = states.density(states.make_state("W3"))
-    grid = default_grid(stop=1.2, step=0.1)
-    curve_a = tolerance_curve(w, rho, grid)
-    curve_b = tolerance_curve(projector_witness(states.make_state("W3")), rho, grid)
-    path = tmp_path / "curves.csv"
-    with open(path, "w", newline="") as fh:
-        write_curves_csv(fh, curve_a, curve_b)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(grid)
-    assert set(rows[0]) == {"theta", "tolerance_a", "tolerance_b"}
-    for row, ta in zip(rows, curve_a.tolerances):
-        if ta is None:
-            assert row["tolerance_a"] == ""
-        else:
-            assert float(row["tolerance_a"]) == ta  # repr() round-trips exactly
-
-
-def test_write_curves_csv_grid_mismatch(tmp_path):
-    w = load_paper_witness("W3", 1)
-    rho = states.density(states.make_state("W3"))
-    a = tolerance_curve(w, rho, default_grid(stop=0.2, step=0.1))
-    b = tolerance_curve(w, rho, default_grid(stop=0.3, step=0.1))
-    with open(tmp_path / "x.csv", "w", newline="") as fh, pytest.raises(ValueError):
-        write_curves_csv(fh, a, b)
 
 
 def _bisect_reference(w_a, w_b, rho, mode, hi=math.pi / 4, tol=1e-4):

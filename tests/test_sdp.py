@@ -358,6 +358,12 @@ def _ghz(n):
     return states.density(psi)
 
 
+def _dicke(n, k):
+    psi = np.zeros(2**n)
+    psi[[b for b in range(2**n) if b.bit_count() == k]] = 1
+    return states.density(psi / np.linalg.norm(psi))
+
+
 # A planted span for the masked random state: spanned by 0011 and 0110,
 # so it holds neither every even-weight mask nor any odd-weight one.
 PLANTED = (0b0011, 0b0110)
@@ -547,6 +553,9 @@ def test_qubit_symmetries_of_the_input():
         (0, 1, 2, 3),
         (0, 1, 3, 2),
     )
+    # at n=5 targets equal in exact arithmetic differ in their last bit
+    assert len(group(_dicke(5, 1), all_k_family(5, 2))) == 120
+    assert len(group(_dicke(5, 2), all_k_family(5, 2))) == 120
 
 
 def _normalized_projector(state):

@@ -3,8 +3,10 @@
 One line per output, so that diffing the digests of two checkouts shows
 whether a change moved any iterate:
 
-- each synth-table and edl-scan solve: label, Newton steps, repr(alpha),
-  repr(duality_gap) and the SHA-256 of the certificate bytes;
+- each synth-table and edl-scan solve, then W5 and D(5,2) on all pairs
+  (at n = 5 the symmetry group is read from targets that equal ones differ
+  in the last bit): label, Newton steps, repr(alpha), repr(duality_gap) and
+  the SHA-256 of the certificate bytes;
 - each catalog witness and the D4/C4 projectors (normalized to unit trace,
   as the certify-catalog workload has them): the repr of every
   decomposition_margins pair and a hash of the verify_witness certificates
@@ -19,7 +21,7 @@ whether a change moved any iterate:
   ``sdp._curvature`` made by ``decomposition_margins``, one per Newton
   system and cut block), which the benchmark's ``newton_steps`` leaves out.
 
-The inputs are read from bench/workloads.py; nothing there is changed. Run
+The n <= 4 inputs are read from bench/workloads.py; nothing there is changed. Run
 from the root of a checkout (edlkit is imported from its ./src):
 
     python3 tools/solver_digest.py > digest.txt
@@ -30,6 +32,8 @@ from __future__ import annotations
 import hashlib
 import pathlib
 import sys
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -51,6 +55,12 @@ def certificate_hash(certificates) -> str:
         for block in certificates[part]:
             digest.update(block.tobytes())
     return digest.hexdigest()
+
+
+def dicke(n: int, k: int) -> np.ndarray:
+    """Density matrix of the n-qubit Dicke state with k excitations."""
+    psi = np.array([float(b.bit_count() == k) for b in range(2**n)])
+    return states.density(psi / np.linalg.norm(psi))
 
 
 def synthesis_line(label: str, result, sizes: str) -> str:
@@ -103,6 +113,11 @@ def main() -> None:
             steps += result.solution.iterations
             print(synthesis_line(f"edl {state} k={k}", result, sizes.take()))
     scan_steps = steps
+
+    for name, k in (("W5", 1), ("D(5,2)", 2)):
+        family = sdp.all_k_family(5, 2)
+        result = sdp.synthesize(dicke(5, k), family)
+        print(synthesis_line(f"synth {name} {_label(family)}", result, sizes.take()))
 
     entries = [(w.label, w.expr) for w in witness.load_catalog()]
     for state in ("D4", "C4"):
