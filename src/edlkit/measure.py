@@ -1,10 +1,11 @@
 """Local measurement settings, counting simulation, and table ingestion.
 
 A product observable is measured one qubit at a time along a Bloch axis; a
-*setting* fixes one axis per qubit (or leaves the qubit unmeasured). Counts
-are multinomial over the 2^n outcome strings, expectations are signed count
-sums, and witnesses/fidelities are linear combinations of such records with
-errors combined in quadrature across settings.
+*setting* is itself a ProductOp: one axis per qubit, None for a qubit that
+is not measured. Counts are multinomial over the 2^n outcome strings,
+expectations are signed count sums, and witnesses/fidelities are linear
+combinations of such records with errors combined in quadrature across
+settings.
 
 A record is (product, value, sigma): the measured ProductOp, its estimated
 expectation and standard error. A record matches a wanted product when both
@@ -44,56 +45,23 @@ def _axis_matrix(axis) -> np.ndarray:
     return ax * pauli.PAULI_1Q["X"] + ay * pauli.PAULI_1Q["Y"] + az * pauli.PAULI_1Q["Z"]
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One Bloch axis per qubit; None marks a qubit that is not measured."""
-
-    n: int
-    axes: tuple
-
-    def __post_init__(self):
-        if len(self.axes) != self.n:
-            raise ValueError("one axis entry per qubit required")
-        for i, axis in enumerate(self.axes):
-            if axis is None:
-                continue
-            if abs(math.sqrt(sum(a * a for a in axis)) - 1.0) > 1e-10:
-                raise ValueError(f"axis for qubit {i + 1} is not unit length")
-
-    @classmethod
-    def from_word(cls, word: str) -> "MeasurementSetting":
-        pauli.check_word(word)
-        return cls(len(word), _word_axes(word))
-
-    def covers(self, op: "ProductOp") -> bool:
-        """True when every measured factor of op matches this setting's axis."""
-        if op.n != self.n:
-            return False
-        for mine, theirs in zip(self.axes, op.axes):
-            if theirs is None:
-                continue
-            if mine is None or any(abs(a - b) > 1e-10 for a, b in zip(mine, theirs)):
-                return False
-        return True
-
-    def label(self) -> str:
-        parts = []
-        for axis in self.axes:
-            if axis is None:
-                parts.append("I")
-                continue
-            for letter, vec in PAULI_AXES.items():
-                if all(abs(a - b) <= 1e-10 for a, b in zip(axis, vec)):
-                    parts.append(letter)
-                    break
-            else:
-                parts.append("(" + ",".join(f"{a:.3f}" for a in axis) + ")")
-        return "".join(parts)
+def _axis_sign(u, v) -> int:
+    """1 when Bloch axis u equals v within 1e-10 per component, -1 when it
+    equals -v, else 0."""
+    (a, b, c), (x, y, z) = u, v
+    if abs(a - x) <= 1e-10 and abs(b - y) <= 1e-10 and abs(c - z) <= 1e-10:
+        return 1
+    if abs(a + x) <= 1e-10 and abs(b + y) <= 1e-10 and abs(c + z) <= 1e-10:
+        return -1
+    return 0
 
 
 @dataclass(frozen=True)
 class ProductOp:
-    """Tensor product of per-qubit ±1 observables (axis per qubit, None = I)."""
+    """Tensor product of per-qubit ±1 observables (axis per qubit, None = I).
+
+    Read as a measurement setting, it measures each qubit along its axis.
+    """
 
     n: int
     axes: tuple
@@ -116,6 +84,15 @@ class ProductOp:
             terms[word] = terms.get(word, 0.0) + coeff
         return ObservableExpr(self.n, terms)
 
+    def covers(self, op: "ProductOp") -> bool:
+        """True when this setting measures every measured factor of op along op's axis."""
+        if op.n != self.n:
+            return False
+        for mine, theirs in zip(self.axes, op.axes):
+            if theirs is not None and (mine is None or _axis_sign(mine, theirs) != 1):
+                return False
+        return True
+
     def outcome_sign(self, outcome_index: int) -> int:
         """Product of this operator's measured-qubit signs in one outcome."""
         sign = 1
@@ -129,7 +106,7 @@ class ProductOp:
 class CountTable:
     """Multinomial counts over the 2^n ±1 outcome strings of one setting."""
 
-    setting: MeasurementSetting
+    setting: ProductOp
     counts: np.ndarray
     shots: int
 
@@ -197,7 +174,7 @@ def parse_operator(text: str, n: int) -> ProductOp:
             axes = tuple(factor if q + 1 in set(qubits) else None for q in range(n))
         return ProductOp(n=n, axes=axes, text=compact)
 
-    if re.fullmatch(r"[IXYZ]+", compact) and len(compact) == n and not compact[1:2].isdigit():
+    if re.fullmatch(r"[IXYZ]+", compact) and len(compact) == n:
         return ProductOp(n=n, axes=_word_axes(compact), text=compact)
 
     pos = 0
@@ -221,7 +198,7 @@ def parse_operator(text: str, n: int) -> ProductOp:
 # --- planning -----------------------------------------------------------
 
 
-def plan_settings(expr: ObservableExpr) -> list[tuple[MeasurementSetting, list[str]]]:
+def plan_settings(expr: ObservableExpr) -> list[tuple[ProductOp, list[str]]]:
     """Greedy first-fit grouping of Pauli terms into joint settings.
 
     Two words share a setting iff on every qubit their letters agree or at
@@ -241,30 +218,31 @@ def plan_settings(expr: ObservableExpr) -> list[tuple[MeasurementSetting, list[s
                 break
         else:
             groups.append(([c for c in word], [word]))
-    return [
-        (MeasurementSetting.from_word("".join(letters)), covered)
-        for letters, covered in groups
-    ]
+    return [(parse_operator("".join(letters), n), covered) for letters, covered in groups]
 
 
 # --- simulation ---------------------------------------------------------
 
 
-def outcome_probabilities(rho: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
+def outcome_probabilities(rho: np.ndarray, setting: ProductOp) -> np.ndarray:
     """Born probabilities of the 2^n ±1 outcome strings under the setting.
 
     Unmeasured qubits report '+' deterministically (their projector is the
-    identity for '+' and zero for '-').
+    identity for '+' and zero for '-'). Each measured axis must be unit length.
     """
     rho = np.asarray(rho, dtype=complex)
     n = setting.n
+    if len(setting.axes) != n:
+        raise ValueError("one axis entry per qubit required")
     if rho.shape != (2**n, 2**n):
         raise ValueError("state dimension does not match the setting")
     eye = np.eye(2, dtype=complex)
     maps = []  # M_q[s, (a, b)] = Π_s[b, a]: Tr(ρ Π) over qubit q's interleaved (a, b)
-    for axis in setting.axes:
+    for q, axis in enumerate(setting.axes):
         if axis is None:
             plus, minus = eye, np.zeros((2, 2), dtype=complex)
+        elif abs(math.sqrt(sum(a * a for a in axis)) - 1.0) > 1e-10:
+            raise ValueError(f"axis for qubit {q + 1} is not unit length")
         else:
             obs = _axis_matrix(axis)
             plus, minus = (eye + obs) / 2, (eye - obs) / 2
@@ -279,7 +257,7 @@ def outcome_probabilities(rho: np.ndarray, setting: MeasurementSetting) -> np.nd
     return probs / total
 
 
-def sample_counts(rho: np.ndarray, setting: MeasurementSetting, shots: int, seed) -> CountTable:
+def sample_counts(rho: np.ndarray, setting: ProductOp, shots: int, seed) -> CountTable:
     """One multinomial draw of counting statistics; deterministic given seed."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -333,11 +311,10 @@ def _same_operator(a: ProductOp, b: ProductOp) -> bool:
     for u, v in zip(a.axes, b.axes):
         if u == v:  # also both unmeasured
             continue
-        if all(abs(x - y) <= 1e-10 for x, y in zip(u, v)):
-            continue
-        if not all(abs(x + y) <= 1e-10 for x, y in zip(u, v)):
+        sign = _axis_sign(u, v)
+        if sign == 0:
             return False
-        flips += 1
+        flips += sign < 0
     return flips % 2 == 0
 
 
@@ -442,7 +419,7 @@ def fidelity_settings(state: str) -> FidelityPlan:
         #   + (I+Z+X)^xn + (I+Z-X)^xn + (I+Z+Y)^xn + (I+Z-Y)^xn
         #   - 2 X^xn - 2 Y^xn (n=4 only) ]
         denom = 24.0 if n == 3 else 64.0
-        settings = ["Z" * n]
+        settings = [parse_operator("Z" * n, n)]
         constant = (4.0 - 1.0) / denom if n == 3 else 4.0 / denom
         z_coeffs = {1: -3.0, 2: -5.0, 3: -7.0} if n == 3 else {1: -2.0, 2: -4.0, 3: -6.0, 4: -8.0}
         for mask in range(1, 2**n):
@@ -450,26 +427,27 @@ def fidelity_settings(state: str) -> FidelityPlan:
             word = "".join("Z" if q in set(qubits) else "I" for q in range(n))
             combo.append((z_coeffs[len(qubits)] / denom, word))
         if n == 4:
-            settings += ["X" * n, "Y" * n]
+            settings += [parse_operator("X" * n, n), parse_operator("Y" * n, n)]
             combo.append((-2.0 / denom, "X" * n))
             combo.append((-2.0 / denom, "Y" * n))
         for pair in ("ZX", "ZY"):
             for sign in "+-":
-                settings.append(f"[({pair[0]}{sign}{pair[1]})/r2]x{n}")
+                settings.append(parse_operator(f"[({pair[0]}{sign}{pair[1]})/r2]x{n}", n))
                 for text, size in _subset_texts(pair, sign, n):
                     combo.append((SQRT2**size / denom, text))
     elif state == "D4":
         # 1/96 of [ 4X4 + 2(X+I)^x4 + 2(X-I)^x4 + (same for Y) + 16Z4
         #           - (Z+I)^x4 - (Z-I)^x4 - 2(X±Z)^x4 - 2(Y±Z)^x4 + (X±Y)^x4 ]
-        settings = ["XXXX", "YYYY", "ZZZZ"]
+        settings = [parse_operator(word, 4) for word in ("XXXX", "YYYY", "ZZZZ")]
         constant = 6.0 / 96.0
         for letter, base, wfull in (("X", 4.0, 8.0), ("Y", 4.0, 8.0), ("Z", -2.0, 14.0)):
             for word in _even_subset_words(letter, 4):
                 combo.append(((wfull if set(word) == {letter} else base) / 96.0, word))
         for pair, weight in (("XZ", -8.0), ("YZ", -8.0), ("XY", 4.0)):
             for sign in "+-":
-                settings.append(f"[({pair[0]}{sign}{pair[1]})/r2]x4")
-                combo.append((weight / 96.0, f"[({pair[0]}{sign}{pair[1]})/r2]x4"))
+                text = f"[({pair[0]}{sign}{pair[1]})/r2]x4"
+                settings.append(parse_operator(text, 4))
+                combo.append((weight / 96.0, text))
     else:  # C4: all stabilizer products are plain Pauli settings
         signed_words = [
             (1, "ZZII"), (1, "XXZI"), (1, "IZXX"), (1, "IIZZ"), (-1, "YYZI"),
@@ -479,19 +457,16 @@ def fidelity_settings(state: str) -> FidelityPlan:
         constant = 1.0 / 16.0
         combo = [(s / 16.0, w) for s, w in signed_words]
         stab_expr = ObservableExpr(4, {w: 1.0 for _, w in signed_words})
-        settings = [s.label() for s, _ in plan_settings(stab_expr)]
+        settings = [setting for setting, _ in plan_settings(stab_expr)]
 
     reconstruction_terms: dict[str, float] = {"I" * n: constant}
     for coeff, text in combo:
         for word, c in parse_operator(text, n).expr().terms.items():
             reconstruction_terms[word] = reconstruction_terms.get(word, 0.0) + coeff * c
-    setting_objs = tuple(
-        MeasurementSetting(n, parse_operator(s, n).axes) for s in settings
-    )
     return FidelityPlan(
         state=state,
         n=n,
-        settings=setting_objs,
+        settings=tuple(settings),
         reconstruction=ObservableExpr(n, reconstruction_terms),
         record_combo=tuple(combo),
         constant=constant,
@@ -537,7 +512,7 @@ def write_count_files(directory, tables, seed: int, prefix: str = "setting") -> 
         manifest["settings"].append(
             {
                 "index": k,
-                "label": table.setting.label(),
+                "label": table.setting.text,
                 "axes": [list(a) if a is not None else None for a in table.setting.axes],
                 "shots": int(table.shots),
                 "file": name,
@@ -549,7 +524,7 @@ def write_count_files(directory, tables, seed: int, prefix: str = "setting") -> 
     return manifest
 
 
-def read_count_file(path, setting: MeasurementSetting) -> CountTable:
+def read_count_file(path, setting: ProductOp) -> CountTable:
     """Counts back from an outcome,count CSV written by write_count_files."""
     n = setting.n
     counts = np.zeros(2**n, dtype=np.int64)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from collections.abc import Iterable
 
 import numpy as np
@@ -193,24 +192,6 @@ def _infer_n_coords(size: int) -> int:
     if 4**n != size:
         raise ValueError(f"coordinate vector length {size} is not a power of 4")
     return n
-
-
-def word_from_factors(n: int, factors: str) -> str:
-    """Indexed single-qubit factors to an n-letter word: "X1X2" -> "XXI" (n=3).
-
-    Factors are letter+index tokens with 1-based indices; omitted qubits get I.
-    """
-    letters = ["I"] * n
-    for m in re.finditer(r"([IXYZ])(\d+)|(.)", factors.replace(" ", "")):
-        if m.group(3) is not None:
-            raise ValueError(f"bad factor token near {m.group(3)!r} in {factors!r}")
-        letter, idx = m.group(1), int(m.group(2))
-        if not 1 <= idx <= n:
-            raise ValueError(f"qubit index {idx} outside 1..{n}")
-        if letters[idx - 1] != "I":
-            raise ValueError(f"qubit {idx} assigned twice in {factors!r}")
-        letters[idx - 1] = letter
-    return "".join(letters)
 
 
 def word_support(word: str) -> frozenset[int]:

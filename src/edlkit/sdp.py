@@ -111,17 +111,17 @@ from . import pauli
 from .witness import ObservableExpr, Witness
 
 DETECT_TOL = 1e-6  # alpha below -DETECT_TOL counts as detection
+FEAS_TOL = 1e-8  # a decomposition margin of at least -FEAS_TOL counts as PSD
 
 
 @dataclass(frozen=True)
 class SolverTolerances:
     gap: float = 1e-7
-    feas: float = 1e-8
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (0 < self.gap < np.inf and 0 < self.feas < np.inf):
-            raise ValueError(f"gap and feas must be finite and positive, got {self.gap!r}, {self.feas!r}")
+        if not 0 < self.gap < np.inf:
+            raise ValueError(f"gap must be finite and positive, got {self.gap!r}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
             raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
@@ -736,7 +736,7 @@ def verify_witness(
     decomposition exists iff the optimal margin is nonnegative (up to the
     feasibility tolerance).
     """
-    splits = _margin_splits(expr, *_symmetries(expr.coords()), tol, reject_below=-tol.feas)
+    splits = _margin_splits(expr, *_symmetries(expr.coords()), tol, reject_below=-FEAS_TOL)
     if splits is None:
         return None
     return {part: (p_mat, q_mat) for part, (_, _, p_mat, q_mat) in splits.items()}
@@ -751,7 +751,7 @@ def decomposition_margins(
     decomposition found; the second is an upper bound on what any
     decomposition can achieve (inf when the solve stalled before a bound
     was established). A witness admits PSD certificates exactly when every
-    best-found margin clears -tol.feas.
+    best-found margin clears -FEAS_TOL.
     """
     splits = _margin_splits(expr, *_symmetries(expr.coords()), tol)
     return {part: (achieved, bound) for part, (achieved, bound, _, _) in splits.items()}
@@ -837,7 +837,7 @@ def _max_margin_split(xw, basis, pt, tol):
         margin = _split_margin(p_mat, basis.matrix(pt(xw - rc)))
         if margin > best_margin:
             best_margin, best_p = margin, p_mat
-        if margin >= -tol.feas:
+        if margin >= -FEAS_TOL:
             return margin, np.inf, p_mat
 
     # Maximize lambda with P, Q >= lambda*I. In P' = P - lambda*I and
@@ -852,13 +852,13 @@ def _max_margin_split(xw, basis, pt, tol):
     p = xw / 2.0
     lam = _split_margin(basis.matrix(p), basis.matrix(pt(xw - p))) - 1.0
     y, r = np.array([lam]), (p - lam * basis.identity)[None]
-    gap_goal = min(tol.gap, 0.25 * tol.feas)  # must resolve margins at feas scale
+    gap_goal = min(tol.gap, 0.25 * FEAS_TOL)  # must resolve margins at FEAS_TOL scale
     for t_barrier, event, y, r, _ in _barrier_path(prog, y, r, gap_goal, tol.max_iter):
         lam = y[0]
         stalled = event != "centered"
         if lam > 0:
             break  # current split already has positive margin
-        if not stalled and lam + 1.1 * prog.nu / t_barrier < -tol.feas:
+        if not stalled and lam + 1.1 * prog.nu / t_barrier < -FEAS_TOL:
             break  # certified: no decomposition clears the tolerance
 
     # The pair sums to W exactly by construction, so the residual is pure

@@ -441,7 +441,7 @@ def test_config_bad_entry_exits_2(tmp_path, capsys, argv, line):
 
 def test_solver_tolerances_are_validated(capsys):
     bad_fields = (
-        {"gap": 0.0}, {"gap": -1.0}, {"gap": float("nan")}, {"feas": float("inf")},
+        {"gap": 0.0}, {"gap": -1.0}, {"gap": float("nan")},
         {"max_iter": -1}, {"max_iter": 2.5},
     )
     for bad in bad_fields:

@@ -9,7 +9,6 @@ from edlkit import measure, pauli, states
 from edlkit.measure import (
     CountTable,
     ExpectationRecord,
-    MeasurementSetting,
     ProductOp,
     combine,
     combine_plan,
@@ -46,6 +45,7 @@ def test_parse_indexed_factors():
     op = parse_operator("Z1Y3Y4", 4)
     assert op.expr().terms == {"ZIYY": pytest.approx(1.0)}
     assert parse_operator("X1X2", 4).expr().terms == {"XXII": pytest.approx(1.0)}
+    assert parse_operator("Z2", 3).expr().terms == {"IZI": pytest.approx(1.0)}
 
 
 def test_parse_whitespace_ignored():
@@ -87,20 +87,8 @@ def test_outcome_sign():
 
 # --- settings --------------------------------------------------------------
 
-def test_setting_from_word_and_label():
-    s = MeasurementSetting.from_word("XIZ")
-    assert s.label() == "XIZ"
-    assert s.axes[1] is None
-
-
-def test_setting_label_for_tilted_axis():
-    op = parse_operator("[(Z+X)/r2]x2", 2)
-    s = MeasurementSetting(2, op.axes)
-    assert s.label().count("(") == 2  # non-Pauli axes print as vectors
-
-
 def test_setting_covers_marginals():
-    full = MeasurementSetting.from_word("ZZZ")
+    full = parse_operator("ZZZ", 3)
     assert full.covers(parse_operator("Z1Z2", 3))
     assert full.covers(parse_operator("Z2", 3))
     assert not full.covers(parse_operator("X1", 3))
@@ -108,10 +96,11 @@ def test_setting_covers_marginals():
 
 
 def test_setting_axis_validation():
-    with pytest.raises(ValueError):
-        MeasurementSetting(2, ((1.0, 1.0, 0.0), None))
-    with pytest.raises(ValueError):
-        MeasurementSetting(2, (None,))
+    rho = np.eye(4) / 4
+    with pytest.raises(ValueError, match="qubit 1 is not unit length"):
+        outcome_probabilities(rho, ProductOp(2, ((1.0, 1.0, 0.0), None), "tilted"))
+    with pytest.raises(ValueError, match="one axis entry per qubit"):
+        outcome_probabilities(rho, ProductOp(2, (None,), "short"))
 
 
 def test_plan_settings_grouping():
@@ -119,8 +108,8 @@ def test_plan_settings_grouping():
     plan = plan_settings(expr)
     # all Z words share one setting; XX needs its own
     assert len(plan) == 2
-    labels = sorted(setting.label() for setting, _ in plan)
-    assert labels == ["XXI", "ZZZ"]
+    texts = sorted(setting.text for setting, _ in plan)
+    assert texts == ["XXI", "ZZZ"]
     covered = sorted(w for _, words in plan for w in words)
     assert covered == ["IZZ", "XXI", "ZIZ", "ZZI"]
 
@@ -140,25 +129,25 @@ def test_plan_settings_covers_catalog_witness():
 def test_outcome_probabilities_computational_basis():
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = 1.0  # |01>
-    probs = outcome_probabilities(rho, MeasurementSetting.from_word("ZZ"))
+    probs = outcome_probabilities(rho, parse_operator("ZZ", 2))
     assert probs == pytest.approx([0, 1, 0, 0])
 
 
 def test_outcome_probabilities_unmeasured_qubit_reports_plus():
     rho = np.eye(4, dtype=complex) / 4
-    probs = outcome_probabilities(rho, MeasurementSetting.from_word("ZI"))
+    probs = outcome_probabilities(rho, parse_operator("ZI", 2))
     assert probs == pytest.approx([0.5, 0.0, 0.5, 0.0])
 
 
 def test_outcome_probabilities_x_basis():
     plus = np.full((2, 2), 0.5, dtype=complex)
-    probs = outcome_probabilities(plus, MeasurementSetting.from_word("X"))
+    probs = outcome_probabilities(plus, parse_operator("X", 1))
     assert probs == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_outcome_probabilities_dimension_check():
     with pytest.raises(ValueError):
-        outcome_probabilities(np.eye(4) / 4, MeasurementSetting.from_word("Z"))
+        outcome_probabilities(np.eye(4) / 4, parse_operator("Z", 1))
 
 
 def _kronecker_probabilities(rho, setting):
@@ -192,13 +181,13 @@ def test_outcome_probabilities_match_kronecker_trace(seed, n):
     for _ in range(n):
         v = rng.standard_normal(3)
         axes.append(None if rng.random() < 0.3 else tuple(v / np.linalg.norm(v)))
-    setting = MeasurementSetting(n, tuple(axes))
+    setting = ProductOp(n, tuple(axes), "random axes")
     want = _kronecker_probabilities(rho, setting)
     assert np.max(np.abs(outcome_probabilities(rho, setting) - want / want.sum())) <= 1e-14
 
 
 def test_outcome_probabilities_validation_errors():
-    setting = MeasurementSetting.from_word("ZZ")
+    setting = parse_operator("ZZ", 2)
     with pytest.raises(ValueError, match="dimension"):
         outcome_probabilities(np.eye(2) / 2, setting)
     with pytest.raises(ValueError, match="negative outcome probability"):
@@ -209,7 +198,7 @@ def test_outcome_probabilities_validation_errors():
 
 def test_sample_counts_deterministic():
     rho = states.density(states.make_state("W3"))
-    s = MeasurementSetting.from_word("ZZZ")
+    s = parse_operator("ZZZ", 3)
     a = sample_counts(rho, s, 5000, seed=9)
     b = sample_counts(rho, s, 5000, seed=9)
     assert np.array_equal(a.counts, b.counts)
@@ -221,7 +210,7 @@ def test_sample_counts_deterministic():
 def test_sample_counts_ignore_roundoff_on_impossible_outcomes():
     # outcome 01 is impossible in one state and has probability 1e-16 in the
     # other; a variate drawn for it would shift the draws of 10 and 11
-    s = MeasurementSetting.from_word("ZZ")
+    s = parse_operator("ZZ", 2)
     exact = np.diag([0.3, 0.0, 0.2, 0.5])
     nudged = np.diag([0.3, 1e-16, 0.2, 0.5 - 1e-16])
     a = sample_counts(exact, s, 100_000, seed=0)
@@ -231,7 +220,7 @@ def test_sample_counts_ignore_roundoff_on_impossible_outcomes():
 
 def test_simulate_counts_per_setting_seeds():
     rho = states.density(states.make_state("W3"))
-    settings = [MeasurementSetting.from_word("ZZZ"), MeasurementSetting.from_word("ZZZ")]
+    settings = [parse_operator("ZZZ", 3), parse_operator("ZZZ", 3)]
     tables = measure.simulate_counts(rho, settings, 2000, seed=4)
     # same setting, different derived seed: the draws differ
     assert not np.array_equal(tables[0].counts, tables[1].counts)
@@ -240,7 +229,7 @@ def test_simulate_counts_per_setting_seeds():
 
 
 def test_count_table_validation():
-    s = MeasurementSetting.from_word("Z")
+    s = parse_operator("Z", 1)
     with pytest.raises(ValueError):
         CountTable(setting=s, counts=np.array([3, 2, 1]), shots=6)
     with pytest.raises(ValueError):
@@ -250,7 +239,7 @@ def test_count_table_validation():
 
 
 def test_outcome_string():
-    s = MeasurementSetting.from_word("ZZ")
+    s = parse_operator("ZZ", 2)
     t = CountTable(setting=s, counts=np.array([1, 0, 0, 0]), shots=1)
     assert [t.outcome_string(i) for i in range(4)] == ["++", "+-", "-+", "--"]
 
@@ -260,7 +249,7 @@ def test_outcome_string():
 def test_estimate_expectations_exact_limit():
     rho = states.density(states.make_state("C4"))
     ops = [parse_operator(t, 4) for t in ("Z1Z2", "Z3Z4", "ZZZZ")]
-    tables = simulate_counts(rho, [MeasurementSetting.from_word("ZZZZ")], 200_000, seed=0)
+    tables = simulate_counts(rho, [parse_operator("ZZZZ", 4)], 200_000, seed=0)
     records = estimate_expectations(tables, ops)
     for rec, op in zip(records, ops):
         exact = evaluate(op.expr(), rho)
@@ -270,14 +259,14 @@ def test_estimate_expectations_exact_limit():
 
 def test_estimate_sigma_is_binomial():
     rho = states.density(states.make_state("W3"))
-    tables = simulate_counts(rho, [MeasurementSetting.from_word("ZZZ")], 10_000, seed=1)
+    tables = simulate_counts(rho, [parse_operator("ZZZ", 3)], 10_000, seed=1)
     (rec,) = estimate_expectations(tables, [parse_operator("Z1", 3)])
     assert rec.sigma == pytest.approx(math.sqrt((1 - rec.value**2) / 10_000), abs=1e-15)
 
 
 def test_estimate_signs_agree_with_outcome_sign():
     rho = states.white_noise(states.density(states.make_state("D4")), 0.2)
-    tables = simulate_counts(rho, [MeasurementSetting.from_word("ZZZZ")], 5000, seed=3)
+    tables = simulate_counts(rho, [parse_operator("ZZZZ", 4)], 5000, seed=3)
     ops = [parse_operator(t, 4) for t in ("Z1", "Z2Z4", "Z1Z3Z4", "ZZZZ")]
     for rec, op in zip(estimate_expectations(tables, ops), ops):
         signs = np.array([op.outcome_sign(i) for i in range(16)])
@@ -288,7 +277,7 @@ def test_estimate_signs_agree_with_outcome_sign():
 
 def test_estimate_requires_covering_table():
     rho = states.density(states.make_state("W3"))
-    tables = simulate_counts(rho, [MeasurementSetting.from_word("ZZZ")], 100, seed=0)
+    tables = simulate_counts(rho, [parse_operator("ZZZ", 3)], 100, seed=0)
     with pytest.raises(ValueError):
         estimate_expectations(tables, [parse_operator("X1", 3)])
 
@@ -567,7 +556,7 @@ def test_expectation_record_sigma_validation():
 
 def test_count_files_roundtrip(tmp_path):
     rho = states.density(states.make_state("W3"))
-    settings = [MeasurementSetting.from_word(w) for w in ("ZZZ", "XXX")]
+    settings = [parse_operator(w, 3) for w in ("ZZZ", "XXX")]
     tables = simulate_counts(rho, settings, 3000, seed=12)
     manifest = write_count_files(tmp_path, tables, seed=12)
     assert manifest["seed"] == 12
@@ -576,12 +565,23 @@ def test_count_files_roundtrip(tmp_path):
     for entry, table in zip(manifest["settings"], tables):
         back = read_count_file(tmp_path / entry["file"], table.setting)
         assert np.array_equal(back.counts, table.counts)
-        assert entry["label"] == table.setting.label()
+        assert entry["label"] == table.setting.text
         assert entry["shots"] == 3000
+
+
+def test_manifest_labels_parse_back_to_setting_axes(tmp_path):
+    # tilted fidelity settings and plain-word witness settings
+    plan = fidelity_settings("D4")
+    witness_settings = [s for s, _ in plan_settings(load_paper_witness("D4", 5).expr)]
+    rho = states.density(states.make_state("D4"))
+    tables = simulate_counts(rho, [*plan.settings, *witness_settings], 100, seed=0)
+    manifest = write_count_files(tmp_path, tables, seed=0)
+    for entry, table in zip(manifest["settings"], tables, strict=True):
+        assert parse_operator(entry["label"], 4).axes == table.setting.axes
 
 
 def test_read_count_file_rejects_bad_outcomes(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("outcome,count\n+*,3\n")
     with pytest.raises(ValueError):
-        read_count_file(path, MeasurementSetting.from_word("ZZ"))
+        read_count_file(path, parse_operator("ZZ", 2))

@@ -41,16 +41,6 @@ def test_all_words_and_index_agree():
         assert pauli.word_index(w) == k
 
 
-def test_word_from_factors():
-    assert pauli.word_from_factors(4, "X1X2") == "XXII"
-    assert pauli.word_from_factors(4, "Z1Y3Y4") == "ZIYY"
-    assert pauli.word_from_factors(3, "Z2") == "IZI"
-    with pytest.raises(ValueError):
-        pauli.word_from_factors(3, "X1X1")
-    with pytest.raises(ValueError):
-        pauli.word_from_factors(3, "X4")
-
-
 def test_word_support():
     assert pauli.word_support("IXZI") == frozenset({2, 3})
     assert pauli.word_support("III") == frozenset()

@@ -623,7 +623,7 @@ def test_margin_reduction_matches_the_full_program(expr):
         assert np.max(np.abs(recon - w_mat)) < 1e-7
     # the verdict the full program gives: every cut clears the tolerance
     certs = verify_witness(expr)
-    assert (certs is None) == any(a < -tol.feas for a, _, _, _ in full.values())
+    assert (certs is None) == any(a < -sdp_module.FEAS_TOL for a, _, _, _ in full.values())
     for part, (p_mat, q_mat) in (certs or {}).items():
         assert pauli.min_eigenvalue(p_mat) >= -1e-8
         assert pauli.min_eigenvalue(q_mat) >= -1e-8

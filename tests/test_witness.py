@@ -1,4 +1,7 @@
+import importlib.util
 import json
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +183,19 @@ def test_catalog_complete_and_ordered():
     assert labels == [f"{s}-{k}" for s in ("W3", "W4", "D4", "C4") for k in PUBLISHED_IDS[s]]
     for w in cat:
         assert family_covers(w.family, w.expr)
+
+
+def test_catalog_regeneration_reproduces_bundled_files():
+    # tools/gen_catalog.py rewrites the bundled JSONs; it must write them unchanged
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_catalog.py"
+    spec = importlib.util.spec_from_file_location("gen_catalog", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert len(gen.CATALOG) == 16
+    for row in gen.CATALOG:
+        built = gen.build(*row)
+        bundled = resources.files("edlkit").joinpath(f"data/witnesses/{built.label}.json")
+        assert built.to_json_dict() == json.loads(bundled.read_text()), built.label
 
 
 def test_load_paper_witness_unknown():

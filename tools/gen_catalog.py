@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from edlkit import pauli  # noqa: E402
+from edlkit.measure import parse_operator  # noqa: E402
 from edlkit.witness import ObservableExpr, Witness, support  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "edlkit" / "data" / "witnesses"
@@ -125,7 +125,7 @@ def build(state: str, num: int, alpha: float, p: float, rows) -> Witness:
     terms = {"I" * n: 1.0 / 2**n}
     for coeff, factors in rows:
         for f in factors:
-            word = pauli.word_from_factors(n, f)
+            (word,) = parse_operator(f, n).expr().terms
             assert word not in terms, (state, num, word)
             terms[word] = coeff / 2**n
     expr = ObservableExpr(n, terms)
@@ -135,7 +135,6 @@ def build(state: str, num: int, alpha: float, p: float, rows) -> Witness:
         label=f"{state}-{num}",
         alpha=alpha,
         p_noise=p,
-        target_state=state,
     )
 
 
