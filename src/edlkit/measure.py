@@ -2,16 +2,24 @@
 
 A product observable is measured one qubit at a time along a Bloch axis; a
 *setting* is itself a ProductOp: one axis per qubit, None for a qubit that
-is not measured. Counts are multinomial over the 2^n outcome strings,
-expectations are signed count sums, and witnesses/fidelities are linear
-combinations of such records with errors combined in quadrature across
-settings.
+is not measured. Counts are multinomial over the 2^n outcome strings; the
+Born probabilities of all settings of one experiment come from one batched
+contraction. Expectations are signed count sums, and witnesses/fidelities
+are linear combinations of such records.
 
 A record is (product, value, sigma): the measured ProductOp, its estimated
-expectation and standard error. A record matches a wanted product when both
-measure the same qubits and each measured axis agrees within 1e-10 per
-component, either as is or negated, with an even number of negated axes:
-[(X-Z)/r2]x2 is the same operator as [(Z-X)/r2]x2, [(X-Z)/r2]x3 is not.
+expectation and standard error; a record estimated from counts also keeps its
+CountTable. Records of one table are correlated, so a combination's variance
+counts their covariances: per table it is Var(f)/shots for f the weighted sum
+of the records' outcome signs. Different tables are independent draws, and
+records read from a CSV carry no counts, so those add in quadrature; an
+estimate from a CSV of simulated records can therefore state a different
+sigma than the simulation that wrote it.
+
+A record matches a wanted product when both measure the same qubits and each
+measured axis agrees within 1e-10 per component, either as is or negated,
+with an even number of negated axes: [(X-Z)/r2]x2 is the same operator as
+[(Z-X)/r2]x2, [(X-Z)/r2]x3 is not.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,9 +97,19 @@ class ProductOp:
         if op.n != self.n:
             return False
         for mine, theirs in zip(self.axes, op.axes):
-            if theirs is not None and (mine is None or _axis_sign(mine, theirs) != 1):
+            if theirs is None or mine == theirs:
+                continue
+            if mine is None or _axis_sign(mine, theirs) != 1:
                 return False
         return True
+
+    @property
+    def mask(self) -> int:
+        """Outcome-index bits of the measured qubits (qubit 1 most significant)."""
+        bits = 0
+        for axis in self.axes:
+            bits = (bits << 1) | (axis is not None)
+        return bits
 
     def outcome_sign(self, outcome_index: int) -> int:
         """Product of this operator's measured-qubit signs in one outcome."""
@@ -125,11 +143,16 @@ class CountTable:
 
 @dataclass(frozen=True)
 class ExpectationRecord:
-    """Measured expectation of one product operator with its standard error."""
+    """Measured expectation of one product operator with its standard error.
+
+    table is the CountTable the estimate was summed from, None for a record
+    read from a file; records of one table are correlated.
+    """
 
     product: ProductOp
     value: float
     sigma: float
+    table: CountTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -224,84 +247,128 @@ def plan_settings(expr: ObservableExpr) -> list[tuple[ProductOp, list[str]]]:
 # --- simulation ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _outcome_map(axis) -> np.ndarray | None:
+    """M[s, (a, b)] = Π_s[b, a]: Tr(ρ Π_s) over one qubit's interleaved (a, b),
+    for its ± projectors along axis; None when the axis is not unit length."""
+    eye = np.eye(2, dtype=complex)
+    if axis is None:
+        plus, minus = eye, np.zeros((2, 2), dtype=complex)
+    elif abs(math.sqrt(sum(a * a for a in axis)) - 1.0) > 1e-10:
+        return None
+    else:
+        obs = _axis_matrix(axis)
+        plus, minus = (eye + obs) / 2, (eye - obs) / 2
+    out = np.stack([plus.T.reshape(4), minus.T.reshape(4)])
+    out.setflags(write=False)
+    return out
+
+
+def _born(rho: np.ndarray, settings) -> np.ndarray:
+    """(T, 2^n) Born probabilities of the 2^n outcome strings under each of the
+    T settings: one interleave of ρ and one batched :func:`pauli.local_map`."""
+    rho = np.asarray(rho, dtype=complex)
+    per_setting = []
+    for setting in settings:
+        n = setting.n
+        if len(setting.axes) != n:
+            raise ValueError("one axis entry per qubit required")
+        if rho.shape != (2**n, 2**n):
+            raise ValueError("state dimension does not match the setting")
+        maps = [_outcome_map(axis) for axis in setting.axes]
+        for q, m in enumerate(maps):
+            if m is None:
+                raise ValueError(f"axis for qubit {q + 1} is not unit length")
+        per_setting.append(maps)
+    n = settings[0].n
+    maps = [np.stack(qubit) for qubit in zip(*per_setting)]  # (T, 2, 4) per qubit
+    probs = pauli.local_map(pauli._interleave(rho, n), maps).real
+    if (probs < -1e-12).any():
+        raise ValueError("negative outcome probability beyond tolerance")
+    probs = np.clip(probs, 0.0, None)
+    totals = probs.sum(axis=1)
+    for total in totals:
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"outcome probabilities sum to {total}, not 1")
+    return probs / totals[:, None]
+
+
 def outcome_probabilities(rho: np.ndarray, setting: ProductOp) -> np.ndarray:
     """Born probabilities of the 2^n ±1 outcome strings under the setting.
 
     Unmeasured qubits report '+' deterministically (their projector is the
     identity for '+' and zero for '-'). Each measured axis must be unit length.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = setting.n
-    if len(setting.axes) != n:
-        raise ValueError("one axis entry per qubit required")
-    if rho.shape != (2**n, 2**n):
-        raise ValueError("state dimension does not match the setting")
-    eye = np.eye(2, dtype=complex)
-    maps = []  # M_q[s, (a, b)] = Π_s[b, a]: Tr(ρ Π) over qubit q's interleaved (a, b)
-    for q, axis in enumerate(setting.axes):
-        if axis is None:
-            plus, minus = eye, np.zeros((2, 2), dtype=complex)
-        elif abs(math.sqrt(sum(a * a for a in axis)) - 1.0) > 1e-10:
-            raise ValueError(f"axis for qubit {q + 1} is not unit length")
-        else:
-            obs = _axis_matrix(axis)
-            plus, minus = (eye + obs) / 2, (eye - obs) / 2
-        maps.append(np.stack([plus.T.reshape(4), minus.T.reshape(4)]))
-    probs = pauli.local_map(pauli._interleave(rho, n), maps).real
-    if (probs < -1e-12).any():
-        raise ValueError("negative outcome probability beyond tolerance")
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"outcome probabilities sum to {total}, not 1")
-    return probs / total
+    return _born(rho, [setting])[0]
+
+
+def _draw(setting: ProductOp, probs: np.ndarray, shots: int, seed) -> CountTable:
+    # multinomial draws no variate for an exactly-zero outcome, so roundoff-level
+    # probabilities are made exact zeros: the draw must not hinge on the last bit
+    probs[probs <= 1e-12] = 0.0
+    counts = np.random.default_rng(seed).multinomial(shots, probs)
+    return CountTable(setting=setting, counts=counts, shots=shots)
 
 
 def sample_counts(rho: np.ndarray, setting: ProductOp, shots: int, seed) -> CountTable:
     """One multinomial draw of counting statistics; deterministic given seed."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    probs = outcome_probabilities(rho, setting)
-    # multinomial draws no variate for an exactly-zero outcome, so roundoff-level
-    # probabilities are made exact zeros: the draw must not hinge on the last bit
-    probs[probs <= 1e-12] = 0.0
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return CountTable(setting=setting, counts=counts, shots=shots)
+    return _draw(setting, outcome_probabilities(rho, setting), shots, seed)
 
 
 def simulate_counts(
     rho: np.ndarray, settings, shots: int, seed: int
 ) -> list[CountTable]:
-    """Independent count tables, one per setting, with derived seeds (seed, k)."""
-    return [
-        sample_counts(rho, setting, shots, (seed, k))
-        for k, setting in enumerate(settings)
-    ]
+    """Independent count tables, one per setting, with derived seeds (seed, k):
+    table k is ``sample_counts(rho, settings[k], shots, (seed, k))``."""
+    settings = list(settings)
+    if not settings:
+        return []
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    probs = _born(rho, settings)
+    return [_draw(s, p, shots, (seed, k)) for k, (s, p) in enumerate(zip(settings, probs))]
 
 
 # --- estimation ---------------------------------------------------------
 
 
+def _outcome_signs(n: int, masks) -> np.ndarray:
+    """(K, 2^n) ±1.0: the sign of each product (given by its measured-qubit
+    mask) in each outcome string. Signed count sums are integers below 2^53,
+    so sums of these signs times counts are exact in any order."""
+    parity = np.bitwise_count(np.arange(2**n)[None, :] & np.asarray(masks)[:, None]) & 1
+    return 1.0 - 2.0 * parity
+
+
 def estimate_expectations(tables, operators) -> list[ExpectationRecord]:
     """Signed-count estimates of product operators from covering tables.
 
+    Each operator is read from the first table whose setting covers it.
     Marginal operators (e.g. a pair inside a full product setting) reuse the
     same counts by summing over the unmeasured qubits' outcomes. sigma is the
-    binomial standard error sqrt((1 - value^2)/shots).
+    binomial standard error sqrt((1 - value^2)/shots); each record keeps its
+    table, so combinations can count same-setting covariances.
     """
-    records = []
+    operators = list(operators)
+    chosen = []
     for op in operators:
         table = next((t for t in tables if t.setting.covers(op)), None)
         if table is None:
             raise ValueError(f"no table's setting covers operator {op.text!r}")
-        mask = sum(1 << (op.n - 1 - q) for q, axis in enumerate(op.axes) if axis is not None)
-        parity = np.bitwise_count(np.arange(len(table.counts)) & mask) & 1
-        signs = 1 - 2 * parity.astype(np.int64)
-        value = float(signs @ table.counts) / table.shots
-        variance = max(0.0, (1.0 - value * value) / table.shots)
-        records.append(ExpectationRecord(op, value, math.sqrt(variance)))
-    return records
+        chosen.append(table)
+    if not operators:
+        return []
+    signs = _outcome_signs(operators[0].n, [op.mask for op in operators])
+    counts = np.stack([t.counts for t in chosen])
+    shots = np.array([t.shots for t in chosen])
+    values = (signs * counts).sum(axis=1) / shots
+    sigmas = np.sqrt(np.maximum(0.0, (1.0 - values * values) / shots))
+    return [
+        ExpectationRecord(op, value, sigma, table)
+        for op, value, sigma, table in zip(operators, values.tolist(), sigmas.tolist(), chosen)
+    ]
 
 
 def _same_operator(a: ProductOp, b: ProductOp) -> bool:
@@ -318,16 +385,40 @@ def _same_operator(a: ProductOp, b: ProductOp) -> bool:
     return flips % 2 == 0
 
 
+def _count_variance(terms) -> float:
+    """Variance of sum coeff * value over (coeff, record) terms whose records
+    were estimated from count tables: the sum over tables of Var_p(f)/shots,
+    with f(o) = sum of the table's coeff * sign(o) and p its outcome
+    frequencies, so records of one table count their covariances.
+
+    f(o) - E_p[f] is summed as coeff * (sign(o) - value) over the records, so
+    a table whose outcomes are deterministic contributes exactly 0.
+    """
+    rows: dict[int, int] = {}  # table id -> its row, in order of first appearance
+    table_of = [rows.setdefault(id(rec.table), len(rows)) for _, rec in terms]
+    tables = list({id(rec.table): rec.table for _, rec in terms}.values())
+    weights = np.zeros((len(tables), len(terms)))
+    weights[table_of, np.arange(len(terms))] = [coeff for coeff, _ in terms]
+    signs = _outcome_signs(tables[0].setting.n, [rec.product.mask for _, rec in terms])
+    centered = weights @ (signs - np.array([[rec.value] for _, rec in terms]))
+    counts = np.stack([t.counts for t in tables])
+    shots = np.array([t.shots for t in tables], dtype=float)
+    return float(((counts * centered * centered).sum(axis=1) / (shots * shots)).sum())
+
+
 def _combine(records, targets, constant: float) -> tuple[float, float]:
     """constant + sum of coeff * record value over (coeff, ProductOp) targets.
 
-    Each target must match exactly one record; errors add in quadrature.
+    Each target must match exactly one record. Records estimated from one
+    count table contribute the variance of their weighted sum over that
+    table's outcomes; records without a table add in quadrature.
     """
     # keyed by which qubits are measured; the key's length is the qubit count
     by_support: dict[tuple, list[ExpectationRecord]] = {}
     for rec in records:
         by_support.setdefault(tuple(a is None for a in rec.product.axes), []).append(rec)
     value, variance = constant, 0.0
+    counted = []  # (coeff, record) terms estimated from count tables
     for coeff, op in targets:
         candidates = by_support.get(tuple(a is None for a in op.axes), ())
         matches = [r for r in candidates if _same_operator(r.product, op)]
@@ -335,15 +426,27 @@ def _combine(records, targets, constant: float) -> tuple[float, float]:
             raise ValueError(
                 f"operator {op.text!r} matched {len(matches)} records, expected exactly 1"
             )
-        value += coeff * matches[0].value
-        variance += (coeff * matches[0].sigma) ** 2
+        rec = matches[0]
+        value += coeff * rec.value
+        if rec.table is None:
+            variance += (coeff * rec.sigma) ** 2
+        else:
+            counted.append((coeff, rec))
+    if counted:
+        variance += _count_variance(counted)
     return value, math.sqrt(variance)
+
+
+@functools.lru_cache(maxsize=1024)
+def _word_op(word: str) -> ProductOp:
+    """The ProductOp of a Pauli word, built once per word."""
+    return ProductOp(len(word), _word_axes(word), word)
 
 
 def combine(records, expr: ObservableExpr) -> tuple[float, float]:
     """Expression value from one record per non-identity Pauli word of expr."""
     targets = [
-        (coeff, ProductOp(expr.n, _word_axes(word), word))
+        (coeff, _word_op(word))
         for word, coeff in expr.terms.items()
         if set(word) != {"I"}
     ]

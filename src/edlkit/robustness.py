@@ -68,12 +68,13 @@ def misalign_expr(expr: ObservableExpr, spec: MisalignmentSpec) -> ObservableExp
 
 
 def _tolerances(
-    expr: ObservableExpr, rho_coords: np.ndarray, thetas, mode: str
+    expr: ObservableExpr, coords: np.ndarray, rho_coords: np.ndarray, thetas, mode: str
 ) -> list[float | None]:
-    """White-noise tolerance of expr misaligned by each angle, on the state with
-    Pauli coordinates rho_coords: one contraction over all the angles."""
+    """White-noise tolerance of expr (Pauli coordinates coords) misaligned by each
+    angle, on the state with Pauli coordinates rho_coords: one contraction over
+    all the angles."""
     maps = np.stack([_letter_map(MisalignmentSpec(t, mode)).T for t in thetas])
-    values = pauli.local_map(rho_coords, [maps] * expr.n) @ expr.coords() * 2**expr.n
+    values = pauli.local_map(rho_coords, [maps] * expr.n) @ coords * 2**expr.n
     # misalignment never maps a letter to I: the identity coefficient stays expr's
     return [_noise_tolerance(expr, float(v)) for v in values]
 
@@ -111,9 +112,11 @@ def tolerance_curve(
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("grid must be strictly ascending")
     rho_coords = _state_coords(w.expr.n, rho)  # once per curve, not per angle
+    coords = w.expr.coords()
     tolerances = []
     for start in range(0, len(thetas), _THETA_BATCH):
-        tolerances += _tolerances(w.expr, rho_coords, thetas[start:start + _THETA_BATCH], mode)
+        batch = thetas[start:start + _THETA_BATCH]
+        tolerances += _tolerances(w.expr, coords, rho_coords, batch, mode)
     return ToleranceCurve(thetas=thetas, tolerances=tuple(tolerances), witness_label=w.label)
 
 
@@ -134,9 +137,11 @@ def crossover(
     if w_b.expr.n != w_a.expr.n:
         raise ValueError("dimension mismatch between expression and state")
 
+    coords_a, coords_b = w_a.expr.coords(), w_b.expr.coords()
+
     def try_diff(theta: float) -> float | None:
-        [pa] = _tolerances(w_a.expr, rho_coords, [theta], mode)
-        [pb] = _tolerances(w_b.expr, rho_coords, [theta], mode)
+        [pa] = _tolerances(w_a.expr, coords_a, rho_coords, [theta], mode)
+        [pb] = _tolerances(w_b.expr, coords_b, rho_coords, [theta], mode)
         if pa is None or pb is None:
             return None
         return pa - pb

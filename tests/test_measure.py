@@ -24,7 +24,7 @@ from edlkit.measure import (
     write_count_files,
     write_expectation_csv,
 )
-from edlkit.witness import ObservableExpr, evaluate, load_paper_witness
+from edlkit.witness import ObservableExpr, evaluate, load_catalog, load_paper_witness
 
 
 # --- operator grammar ------------------------------------------------------
@@ -93,6 +93,18 @@ def test_setting_covers_marginals():
     assert full.covers(parse_operator("Z2", 3))
     assert not full.covers(parse_operator("X1", 3))
     assert not full.covers(parse_operator("Z1Z2", 2))
+
+
+def test_covers_compares_axes_within_1e_10():
+    setting = parse_operator("[(X+Z)/r2]x2", 2)
+    ax, ay, az = setting.axes[0]
+
+    def moved(delta):
+        return ProductOp(2, ((ax + delta, ay, az), None), "moved")
+
+    assert setting.covers(moved(0.0))
+    assert setting.covers(moved(5e-11))
+    assert not setting.covers(moved(2e-10))
 
 
 def test_setting_axis_validation():
@@ -228,6 +240,29 @@ def test_simulate_counts_per_setting_seeds():
     assert np.array_equal(tables[0].counts, again[0].counts)
 
 
+def _experiments():
+    """(state, settings) of every catalog witness's plan and every fidelity plan."""
+    for w in load_catalog():
+        yield w.target_state, [setting for setting, _ in plan_settings(w.expr)]
+    for state in states.STATE_NAMES:
+        yield state, list(fidelity_settings(state).settings)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.13])
+def test_simulate_counts_equals_per_setting_draws(p):
+    # one contraction for all settings gives each setting's probabilities and
+    # counts bit for bit
+    for index, (state, settings) in enumerate(_experiments()):
+        rho = states.white_noise(states.density(states.make_state(state)), p)
+        tables = simulate_counts(rho, settings, 1000, seed=index)
+        batch = measure._born(rho, settings)
+        for k, (setting, table) in enumerate(zip(settings, tables, strict=True)):
+            single = sample_counts(rho, setting, 1000, (index, k))
+            assert table.setting is setting
+            assert table.counts.tobytes() == single.counts.tobytes()
+            assert batch[k].tobytes() == outcome_probabilities(rho, setting).tobytes()
+
+
 def test_count_table_validation():
     s = parse_operator("Z", 1)
     with pytest.raises(ValueError):
@@ -275,6 +310,42 @@ def test_estimate_signs_agree_with_outcome_sign():
         assert rec.sigma == math.sqrt(max(0.0, (1.0 - value * value) / tables[0].shots))
 
 
+def _estimate_by_loop(tables, operators):
+    """Reference: (value, sigma, table) of each operator, one at a time."""
+    out = []
+    for op in operators:
+        table = next(t for t in tables if t.setting.covers(op))
+        signs = np.array([op.outcome_sign(i) for i in range(2**op.n)])
+        value = float(signs @ table.counts) / table.shots
+        out.append((value, math.sqrt(max(0.0, (1.0 - value * value) / table.shots)), table))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_estimate_expectations_matches_per_operator_loop(data, n):
+    words = data.draw(st.lists(st.text("XYZ", min_size=n, max_size=n), min_size=1, max_size=4))
+    tables = []
+    for word in words:
+        counts = data.draw(st.lists(st.integers(0, 3000), min_size=2**n, max_size=2**n))
+        counts[0] += 1
+        tables.append(CountTable(parse_operator(word, n), np.array(counts), sum(counts)))
+    operators = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        word = data.draw(st.sampled_from(words))
+        kept = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        operators.append(parse_operator("".join(
+            c if q in kept else "I" for q, c in enumerate(word)), n))
+    records = estimate_expectations(tables, operators)
+    for rec, op, (value, sigma, table) in zip(
+        records, operators, _estimate_by_loop(tables, operators), strict=True
+    ):
+        assert rec.product is op
+        assert rec.value == value
+        assert rec.sigma == sigma
+        assert rec.table is table
+
+
 def test_estimate_requires_covering_table():
     rho = states.density(states.make_state("W3"))
     tables = simulate_counts(rho, [parse_operator("ZZZ", 3)], 100, seed=0)
@@ -305,6 +376,63 @@ def test_combine_error_propagation_in_quadrature():
     value, sigma = combine(records, expr)
     assert value == pytest.approx(2 * 0.5 - 0.25)
     assert sigma == pytest.approx(math.hypot(2 * 0.1, 1 * 0.2))
+
+
+def test_same_setting_records_are_correlated():
+    # both qubits of the Bell state agree along Z, so ZI + IZ measures 2 ZI:
+    # sigma 2/sqrt(N), where quadrature would state sqrt(2)/sqrt(N)
+    bell = states.density(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+    expr = ObservableExpr(2, {"ZI": 1.0, "IZ": 1.0})
+    shots = 100_000
+    tables = simulate_counts(bell, [parse_operator("ZZ", 2)], shots, seed=0)
+    records = estimate_expectations(tables, [parse_operator(t, 2) for t in ("ZI", "IZ")])
+    v = records[0].value
+    assert records[1].value == v
+    value, sigma = combine(records, expr)
+    assert value == 2 * v
+    assert sigma == pytest.approx(2 * math.sqrt((1 - v * v) / shots), rel=1e-12)
+    assert sigma == pytest.approx(2 / math.sqrt(shots), rel=1e-3)
+    table_less = [ExpectationRecord(r.product, r.value, r.sigma) for r in records]
+    assert combine(table_less, expr) == (value, pytest.approx(math.sqrt(2) * records[0].sigma))
+
+
+def test_records_of_different_tables_add_in_quadrature():
+    rho = states.white_noise(states.density(states.make_state("W3")), 0.2)
+    expr = ObservableExpr(3, {"ZZI": 2.0, "XXI": -1.0})
+    tables = simulate_counts(rho, [parse_operator(w, 3) for w in ("ZZZ", "XXX")], 5000, seed=2)
+    records = estimate_expectations(tables, [parse_operator(w, 3) for w in ("ZZI", "XXI")])
+    _, sigma = combine(records, expr)
+    assert sigma == pytest.approx(math.hypot(2 * records[0].sigma, records[1].sigma), rel=1e-12)
+
+
+def _spread_over_sigma(simulate_once) -> float:
+    """Spread of 300 seeded estimates divided by their median stated sigma."""
+    values, sigmas = zip(*(simulate_once(seed) for seed in range(300)))
+    return float(np.std(values, ddof=1) / np.median(sigmas))
+
+
+def test_witness_sigma_is_calibrated():
+    w = load_paper_witness("D4", 3)
+    rho = states.white_noise(states.density(states.make_state("D4")), 0.077)
+    plan = plan_settings(w.expr)
+    settings_ = [setting for setting, _ in plan]
+    ops = [parse_operator(word, 4) for _, words in plan for word in words]
+
+    def simulate_once(seed):
+        return combine(estimate_expectations(simulate_counts(rho, settings_, 20_000, seed), ops), w.expr)
+
+    assert 0.85 <= _spread_over_sigma(simulate_once) <= 1.15
+
+
+def test_fidelity_sigma_is_calibrated():
+    plan = fidelity_settings("W4")
+    rho = states.white_noise(states.density(states.make_state("W4")), 0.15)
+    ops = [parse_operator(text, plan.n) for _, text in plan.record_combo]
+
+    def simulate_once(seed):
+        return combine_plan(estimate_expectations(simulate_counts(rho, plan.settings, 20_000, seed), ops), plan)
+
+    assert 0.85 <= _spread_over_sigma(simulate_once) <= 1.15
 
 
 def test_combine_missing_and_duplicate_records():

@@ -157,19 +157,31 @@ def test_crossover_misaligns_each_witness_once_per_angle(monkeypatch):
     w5 = load_paper_witness("D4", 5)
     proj = projector_witness(states.make_state("D4"), label="projector")
     expected = _bisect_reference(w5, proj, D4_RHO, "all_axes")
-    seen = []
-    real = robustness._tolerances
+    seen, expanded = [], []
+    real, coords = robustness._tolerances, ObservableExpr.coords
 
-    def spy(expr, rho_coords, thetas, mode):
+    def spy(expr, expr_coords, rho_coords, thetas, mode):
         seen.extend((id(expr), t) for t in thetas)
-        return real(expr, rho_coords, thetas, mode)
+        return real(expr, expr_coords, rho_coords, thetas, mode)
 
     monkeypatch.setattr(robustness, "_tolerances", spy)
+    monkeypatch.setattr(ObservableExpr, "coords", lambda self: expanded.append(self) or coords(self))
     theta = crossover(w5, proj, D4_RHO, mode="all_axes")
     assert theta == expected
     # 19 scan angles (the last one blind) and 8 bisection midpoints, two
     # witnesses each; re-evaluating the lower bracket end made it 70
     assert len(seen) == len(set(seen)) == 54
+    assert expanded == [w5.expr, proj.expr]  # each witness's coordinates once
+
+
+def test_tolerance_curve_expands_the_witness_once(monkeypatch):
+    w5 = load_paper_witness("D4", 5)
+    expanded = []
+    coords = ObservableExpr.coords
+    monkeypatch.setattr(ObservableExpr, "coords", lambda self: expanded.append(self) or coords(self))
+    curve = tolerance_curve(w5, D4_RHO, default_grid())  # 121 angles, 4 batches
+    assert len(curve.thetas) == 121
+    assert expanded == [w5.expr]
 
 
 def test_crossover_rejects_qubit_count_mismatch():

@@ -16,15 +16,27 @@ whether a change moved any iterate:
   ``coords`` the entry coordinates per block, ``blocks`` the cut blocks
   and ``orbits`` the word orbits, each summed over the programs (a margin
   program has one block and one direction; "-" when no program ran);
-- last, the Newton step totals of the two synthesis workloads and the
+- then the Newton step totals of the two synthesis workloads and the
   number of margin Newton systems of the certify-catalog workload (calls of
   ``sdp._curvature`` made by ``decomposition_margins``, one per Newton
-  system and cut block), which the benchmark's ``newton_steps`` leaves out.
+  system and cut block), which the benchmark's ``newton_steps`` leaves out;
+- last, every operation of the sweep-sim workload at seed 1, in its order:
+  a hash of each tolerance curve, the repr of each crossover angle, and for
+  each simulated experiment the SHA-256 of its counts, of the per-setting
+  outcome_probabilities, and of its records' repr(value) and repr(sigma),
+  then repr of the combined value and sigma; each bundled table gives the
+  repr of its fidelity and witness estimates. The combined sigma is the
+  last field of a ``simulate`` line, so digests that must differ only there can
+  be compared with it cut off.
 
 The n <= 4 inputs are read from bench/workloads.py; nothing there is changed. Run
 from the root of a checkout (edlkit is imported from its ./src):
 
-    python3 tools/solver_digest.py > digest.txt
+    OPENBLAS_NUM_THREADS=1 python3 tools/solver_digest.py > digest.txt
+
+Compare the n = 5 lines at one BLAS thread: their last bits depend on the
+thread count (ROADMAP item 2). Every n <= 4 line and every sweep-sim line is
+thread-independent.
 """
 
 from __future__ import annotations
@@ -38,11 +50,14 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from edlkit import sdp, states, witness  # noqa: E402
+import edlkit  # noqa: E402
+import edlkit.robustness  # noqa: E402,F401  (the package root does not import it)
+from edlkit import measure, sdp, states, witness  # noqa: E402
 from workloads import (  # noqa: E402
     C4_DEVIATION_FAMILIES,
     DETECTION_LENGTH,
     SUMMARY_ROWS,
+    SweepSim,
     _label,
 )
 
@@ -147,6 +162,54 @@ def main() -> None:
 
     print(f"newton steps: synth-table {synth_steps}, edl-scan {scan_steps}")
     print(f"margin newton systems: certify-catalog {systems}")
+    sweep_lines()
+
+
+def sha(parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part if isinstance(part, bytes) else repr(part).encode())
+    return digest.hexdigest()
+
+
+def sweep_lines() -> None:
+    """One line per sweep-sim operation at seed 1; the count tables and records
+    of a simulated experiment are read by wrapping the two measure calls."""
+    seen = {}
+    simulate, estimate = measure.simulate_counts, measure.estimate_expectations
+
+    def simulate_spy(rho, settings, shots, seed):
+        seen["rho"], seen["tables"] = rho, simulate(rho, settings, shots, seed)
+        return seen["tables"]
+
+    def estimate_spy(tables, operators):
+        seen["records"] = estimate(tables, operators)
+        return seen["records"]
+
+    measure.simulate_counts, measure.estimate_expectations = simulate_spy, estimate_spy
+    try:
+        for op in SweepSim(edlkit, 1).ops:
+            seen.clear()
+            result = op.run()
+            kind = op.label.split()[0]
+            if kind == "curve":
+                print(f"{op.label}: {sha(result.tolerances)}")
+            elif kind == "crossover":
+                print(f"{op.label}: {result!r}")
+            elif kind == "table":
+                fidelity, witnesses = result
+                print(f"{op.label}: F={fidelity!r} "
+                      + " ".join(f"{w}={witnesses[w]!r}" for w in sorted(witnesses)))
+            else:
+                tables, records = seen["tables"], seen["records"]
+                probs = [measure.outcome_probabilities(seen["rho"], t.setting) for t in tables]
+                value, sigma = result
+                print(f"{op.label}: counts={sha(t.counts.tobytes() for t in tables)} "
+                      f"probs={sha(p.tobytes() for p in probs)} "
+                      f"records={sha((r.value, r.sigma) for r in records)} "
+                      f"value={value!r} sigma={sigma!r}")
+    finally:
+        measure.simulate_counts, measure.estimate_expectations = simulate, estimate
 
 
 if __name__ == "__main__":
