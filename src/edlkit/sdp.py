@@ -541,6 +541,10 @@ def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_
       made the squared decrement negative or non-finite;
     - "failed": no Armijo step was found down to a step length of 1e-12.
 
+    The Newton system is formed once per point: the first step of a stage
+    that begins where the last one closed reuses its system, adding only
+    the t*c terms anew.
+
     The caller stops the path by asking for no further stage.
     """
     basis, transposes, weights = prog.basis, prog.transposes, prog.weights
@@ -563,41 +567,52 @@ def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_
                 factors.append(chol)
         return total, factors
 
+    def newton_system(factors):
+        """The part of the Newton system at the point of ``factors`` that
+        does not depend on t: the Schur matrix, the t-free part of its right
+        side, the block solves and gammas, and the weighted gradient and
+        logdet terms of each block, in the order the merit sums them."""
+        schur = np.zeros((ny, ny))
+        rhs_y = np.zeros(ny)
+        grads, logdets, solves, gammas = [], [], [], []
+        for a, pt in enumerate(transposes):
+            n_p, ld_p = _inverse(factors[2 * a])
+            n_q, ld_q = _inverse(factors[2 * a + 1])
+            logdets += (weights[a] * ld_p, weights[a] * ld_q)
+            g_q = basis.coords(n_q)
+            gamma = pt(g_q) - basis.coords(n_p)
+            grads.append(weights[a] * orbit_sum(prog.signs[a] * (words @ g_q)))
+            b_mat = _curvature(basis, ((n_p, basis.pairs), (n_q, pt.pairs)))
+            # Coupling T_a K_Q T_a S_o = T_a(N_Q T_a(S_o) N_Q), with
+            # T_a(S_o) the orbit sum of the words' signed copies.
+            moved = orbit_sum(prog.moved_phases[a] * n_q[cols])
+            gf = pt(basis.coords(n_q @ moved)).T
+            sol = np.linalg.solve(b_mat, np.concatenate([gamma[:, None], gf], axis=1))
+            # Schur block sums.gf - gf'.b^-1.gf, with the cancelling
+            # difference taken before the product with the large gf.
+            schur += weights[a] * ((sums - sol[:, 1:].T) @ gf)
+            rhs_y -= weights[a] * (gf.T @ sol[:, 0])
+            solves.append(sol)
+            gammas.append(gamma)
+        return schur, rhs_y, grads, logdets, solves, gammas
+
     steps = 0
     factors = psi(1.0, y, r)[1]  # of the current point, kept from the line search
+    system = None  # of the current point, kept until a step moves it
     for t, center_tol in _stages(prog.nu, gap):
         event = "centered"
         for _ in range(60):
-            grad_y = t * c
-            schur = np.zeros((ny, ny))
-            rhs_y = np.zeros(ny)
-            solves = []
-            gammas = []
-            base = t * float(c @ y)  # psi(t, y, r), summed in psi's order
             try:
-                for a, pt in enumerate(transposes):
-                    n_p, ld_p = _inverse(factors[2 * a])
-                    n_q, ld_q = _inverse(factors[2 * a + 1])
-                    base -= weights[a] * ld_p
-                    base -= weights[a] * ld_q
-                    g_q = basis.coords(n_q)
-                    gamma = pt(g_q) - basis.coords(n_p)
-                    grad_y -= weights[a] * orbit_sum(prog.signs[a] * (words @ g_q))
-                    b_mat = _curvature(basis, ((n_p, basis.pairs), (n_q, pt.pairs)))
-                    # Coupling T_a K_Q T_a S_o = T_a(N_Q T_a(S_o) N_Q), with
-                    # T_a(S_o) the orbit sum of the words' signed copies.
-                    moved = orbit_sum(prog.moved_phases[a] * n_q[cols])
-                    gf = pt(basis.coords(n_q @ moved)).T
-                    sol = np.linalg.solve(
-                        b_mat, np.concatenate([gamma[:, None], gf], axis=1)
-                    )
-                    # Schur block sums.gf - gf'.b^-1.gf, with the cancelling
-                    # difference taken before the product with the large gf.
-                    schur += weights[a] * ((sums - sol[:, 1:].T) @ gf)
-                    rhs_y -= weights[a] * (gf.T @ sol[:, 0])
-                    solves.append(sol)
-                    gammas.append(gamma)
-                rhs_y -= grad_y
+                if system is None:
+                    system = newton_system(factors)
+                schur, rhs_y, grads, logdets, solves, gammas = system
+                grad_y = t * c
+                for g in grads:
+                    grad_y -= g
+                base = t * float(c @ y)  # psi(t, y, r), summed in psi's order
+                for ld in logdets:
+                    base -= ld
+                rhs_y = rhs_y - grad_y
                 if ny == 1 and schur[0, 0]:
                     dy = rhs_y / schur[0]  # LAPACK's 1x1 solve, without its overhead
                 else:
@@ -631,7 +646,7 @@ def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_
                 event = "failed"
                 break
             steps += 1
-            factors = new_factors
+            factors, system = new_factors, None
             y = y + step * dy
             r = r + step * dr
         yield t, event, y, r, steps

@@ -85,6 +85,42 @@ def test_synthesize_is_deterministic():
     assert wa.terms == wb.terms
 
 
+def _stage_ends(monkeypatch):
+    """Every stage end (t, event, y, r, steps) the barrier path yields."""
+    ends = []
+    path = sdp_module._barrier_path
+
+    def spy(*args):
+        for stage in path(*args):
+            ends.append(stage)
+            yield stage
+
+    monkeypatch.setattr(sdp_module, "_barrier_path", spy)
+    return ends
+
+
+def _same_stage_ends(first, second):
+    assert len(first) == len(second)
+    for (t_a, ev_a, y_a, r_a, n_a), (t_b, ev_b, y_b, r_b, n_b) in zip(first, second):
+        assert (t_a, ev_a, n_a) == (t_b, ev_b, n_b)
+        assert np.array_equal(y_a, y_b) and np.array_equal(r_a, r_b)
+
+
+def test_barrier_path_iterates_are_deterministic(monkeypatch):
+    # identical inputs give identical iterates at every stage end, in both
+    # programs: the Newton system kept across a stage boundary is the one
+    # a fresh build would give
+    ends = _stage_ends(monkeypatch)
+    runs = []
+    for _ in range(2):
+        synthesize(W3_RHO, ALL_PAIRS_3)
+        decomposition_margins(load_paper_witness("D4", 5).expr)
+        runs.append(list(ends))
+        ends.clear()
+    assert len(runs[0]) > 4
+    _same_stage_ends(*runs)
+
+
 def test_synthesize_certificates_reconstruct_witness():
     result = synthesize(W3_RHO, PAIRS_12_23)
     w_mat = result.solution.witness_expr.matrix()
@@ -239,7 +275,7 @@ def test_barrier_path_step_counts(state, family, steps):
 
 
 @pytest.mark.parametrize(
-    "label, systems", [("W3-1", 60), ("W4-1", 136), ("D4-5", 82), ("C4-2", 45)]
+    "label, systems", [("W3-1", 54), ("W4-1", 123), ("D4-5", 74), ("C4-2", 39)]
 )
 def test_margin_newton_system_counts(monkeypatch, label, systems):
     # pins the margin program's path: one _curvature call per Newton system
@@ -251,6 +287,25 @@ def test_margin_newton_system_counts(monkeypatch, label, systems):
     state, index = label.split("-")
     decomposition_margins(load_paper_witness(state, int(index)).expr)
     assert len(calls) == systems
+
+
+@pytest.mark.parametrize(
+    "state, family",
+    [("W3", PAIRS_12_23), ("W4", all_k_family(4, 2)), ("D4", all_k_family(4, 2))],
+)
+def test_one_newton_system_per_point(monkeypatch, state, family):
+    # The path visits the start and one point per Newton step, and builds
+    # one Newton system at each: one _curvature call per cut block. A stage
+    # that begins where the last one closed reuses the system that closed it.
+    calls, programs = [], []
+    curvature, path = sdp_module._curvature, sdp_module._barrier_path
+    monkeypatch.setattr(sdp_module, "_curvature", lambda *a: calls.append(1) or curvature(*a))
+    monkeypatch.setattr(
+        sdp_module, "_barrier_path", lambda prog, *a: programs.append(prog) or path(prog, *a)
+    )
+    solution = synthesize(states.density(states.make_state(state)), family).solution
+    (prog,) = programs
+    assert len(calls) == (solution.iterations + 1) * len(prog.transposes)
 
 
 def test_margin_stage_with_a_negative_decrement_certifies_no_bound(monkeypatch):

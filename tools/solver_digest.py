@@ -16,10 +16,11 @@ whether a change moved any iterate:
   ``coords`` the entry coordinates per block, ``blocks`` the cut blocks
   and ``orbits`` the word orbits, each summed over the programs (a margin
   program has one block and one direction; "-" when no program ran);
-- then the Newton step totals of the two synthesis workloads and the
-  number of margin Newton systems of the certify-catalog workload (calls of
-  ``sdp._curvature`` made by ``decomposition_margins``, one per Newton
-  system and cut block), which the benchmark's ``newton_steps`` leaves out;
+- then the Newton step totals of the two synthesis workloads, and their
+  Newton systems and those of the certify-catalog workload's margin
+  programs (calls of ``sdp._curvature``, one per Newton system and cut
+  block; for the margins only those ``decomposition_margins`` makes), which
+  the benchmark's ``newton_steps`` leaves out;
 - last, every operation of the sweep-sim workload at seed 1, in its order:
   a hash of each tolerance curve, the repr of each crossover angle, and for
   each simulated experiment the SHA-256 of its counts, of the per-setting
@@ -28,6 +29,9 @@ whether a change moved any iterate:
   repr of its fidelity and witness estimates. The combined sigma is the
   last field of a ``simulate`` line, so digests that must differ only there can
   be compared with it cut off.
+
+``tools/digest_compare.py`` compares two digests by value: per line the
+step delta and the largest |alpha| and margin change.
 
 The n <= 4 inputs are read from bench/workloads.py; nothing there is changed. Run
 from the root of a checkout (edlkit is imported from its ./src):
@@ -84,6 +88,25 @@ def synthesis_line(label: str, result, sizes: str) -> str:
             f"gap={sol.duality_gap!r} cert={certificate_hash(sol.certificates)} {sizes}")
 
 
+class CurvatureCalls:
+    """Takes the place of ``sdp._curvature`` for the rest of the run and
+    counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.curvature = sdp._curvature
+        sdp._curvature = self
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.curvature(*args, **kwargs)
+
+    def take(self) -> int:
+        """The calls since the last call."""
+        calls, self.calls = self.calls, 0
+        return calls
+
+
 class ProgramSizes:
     """Takes the place of ``sdp._barrier_path`` for the rest of the run and
     records every program it is given."""
@@ -110,7 +133,7 @@ class ProgramSizes:
 def main() -> None:
     rho = {name: states.density(states.make_state(name)) for name in states.STATE_NAMES}
 
-    sizes = ProgramSizes()
+    sizes, systems = ProgramSizes(), CurvatureCalls()
     steps = 0
     cases = [(state, family) for state, family, _, _ in SUMMARY_ROWS]
     cases += [("C4", family) for family in C4_DEVIATION_FAMILIES]
@@ -118,7 +141,7 @@ def main() -> None:
         result = sdp.synthesize(rho[state], family)
         steps += result.solution.iterations
         print(synthesis_line(f"synth {state} {_label(family)}", result, sizes.take()))
-    synth_steps = steps
+    synth_steps, synth_systems = steps, systems.take()
 
     steps = 0
     for state in DETECTION_LENGTH:
@@ -127,7 +150,7 @@ def main() -> None:
             result = sdp.synthesize(rho[state], sdp.all_k_family(n, k))
             steps += result.solution.iterations
             print(synthesis_line(f"edl {state} k={k}", result, sizes.take()))
-    scan_steps = steps
+    scan_steps, scan_systems = steps, systems.take()
 
     for name, k in (("W5", 1), ("D(5,2)", 2)):
         family = sdp.all_k_family(5, 2)
@@ -138,20 +161,11 @@ def main() -> None:
     for state in ("D4", "C4"):
         proj = witness.projector_witness(states.make_state(state))
         entries.append((f"{state}-projector", (1.0 / proj.expr.trace()) * proj.expr))
-    systems = 0
-    curvature = sdp._curvature
-
-    def counted(*args):
-        nonlocal systems
-        systems += 1
-        return curvature(*args)
-
+    margin_systems = 0
     for label, expr in entries:
-        sdp._curvature = counted
-        try:
-            margins = sdp.decomposition_margins(expr)
-        finally:
-            sdp._curvature = curvature
+        systems.take()
+        margins = sdp.decomposition_margins(expr)
+        margin_systems += systems.take()
         pairs = " ".join(
             f"{''.join(map(str, sorted(part)))}:{margins[part][0]!r},{margins[part][1]!r}"
             for part in sorted(margins, key=sorted)
@@ -161,7 +175,8 @@ def main() -> None:
         sizes.take()
 
     print(f"newton steps: synth-table {synth_steps}, edl-scan {scan_steps}")
-    print(f"margin newton systems: certify-catalog {systems}")
+    print(f"synthesis newton systems: synth-table {synth_systems}, edl-scan {scan_systems}")
+    print(f"margin newton systems: certify-catalog {margin_systems}")
     sweep_lines()
 
 
