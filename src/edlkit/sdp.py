@@ -22,9 +22,9 @@ steps are affine invariant, so the basis choice changes only rounding.
 
 Both programs are one program form, solved by one engine,
 ``_barrier_path``: minimize c.y subject to x0 + sum_o y_o S_o = P_A +
-Q_A^{T_A} with P_A, Q_A PSD on every cut block A, where each S_o is a sum
-of phased permutation matrices that T_A maps to signed copies of
-themselves. Synthesis has x0 = I/2^n, one S_o per word orbit (the orbit's
+Q_A^{T_A} with P_A, Q_A PSD on every cut block A, where each S_o is a
+fixed direction in entry coordinates (a sum of Pauli words). Synthesis has
+x0 = I/2^n, one S_o per word orbit (the orbit's
 Pauli words) and the objective Tr(W rho). The margin program (maximize
 lambda with P_A, Q_A >= lambda*I) takes this form under the substitution
 P' = P - lambda*I, Q' = Q - lambda*I: T_A fixes I, so W - 2*lambda*I = P' +
@@ -38,6 +38,12 @@ roundoff made the squared decrement negative) or failed (no Armijo step).
 Synthesis takes a singular stage as centered and raises on a failed one;
 the margin program marks either stage stalled, so no bound is certified
 from it.
+
+A Newton step's Schur system on y is read off one curvature per block,
+K_P and H_Q = T_A K_Q T_A (``_curvature``): the Newton block K_P + H_Q, the
+coupling H_Q S^T (the Q block's curvature applied to the direction
+coordinates) and the gradient S T_A(coords Q_A^-1). None of it depends on
+t, so it is formed once per point, and a stage reuses the last one's.
 
 Each program is reduced by the symmetries of its own data, which one
 reader, ``_symmetries``, takes from the program's Pauli coordinates: for
@@ -71,8 +77,8 @@ too, and the coordinates it forces to zero or to each other are left out
   (below). They permute the free words and the cuts {A, A^c},
   so the witness is constant on each word orbit and the blocks of a cut
   orbit are the permuted copies of one representative's blocks. Synthesis
-  carries one variable per word orbit, whose matrix is the orbit sum S_o
-  (coupled to a cut through T_A(S_o)), and one P block per cut orbit,
+  carries one variable per word orbit, whose direction is the orbit sum
+  S_o of its words, and one P block per cut orbit,
   whose logdet terms are weighted by the orbit size; the barrier parameter
   still counts every bipartition. The margin solver runs one program per
   cut orbit. Restricted to these variables the barrier, its gradient and
@@ -257,6 +263,14 @@ class _EntryBasis:
         self.pairs = np.concatenate([self.diag, self.upper])
         self.identity = np.concatenate([np.ones(d), np.zeros(self.size - d)])
         self.scale = np.concatenate([np.ones(d), np.full(self.size - d, _SQRT2)])
+        # matrix() reads entry f as coordinate source[f] (+ i im_sign[f] times its
+        # Im coordinate) over divisor[f]; outside the span, coordinate 0 over inf
+        self.source = np.zeros(d * d, dtype=np.intp)
+        self.divisor, self.im_sign = np.full(d * d, np.inf), np.zeros(d * d)
+        self.source[self.diag], self.divisor[self.diag] = np.arange(d), 1.0
+        for flat, sign in ((self.upper, 1.0), (self.lower, -1.0)):
+            self.source[flat], self.im_sign[flat] = d + np.arange(iu.size), sign
+            self.divisor[flat] = _SQRT2
 
     def coords(self, m: np.ndarray) -> np.ndarray:
         """Entry coordinates of a Hermitian matrix, or of a stack of them."""
@@ -266,14 +280,11 @@ class _EntryBasis:
         return self.scale * z.real
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`coords` for one coordinate vector."""
-        d, m = self.d, self.m
-        flat = np.zeros(d * d, dtype=float if self.real else complex)
-        flat[self.diag] = x[:d]
-        z = x[d : d + m] / _SQRT2 if self.real else (x[d : d + m] + 1j * x[d + m :]) / _SQRT2
-        flat[self.upper] = z
-        flat[self.lower] = z.conj()
-        return flat.reshape(d, d)
+        """Inverse of :meth:`coords`, for one coordinate vector or a stack."""
+        z = np.take(x, self.source, axis=-1)
+        if not self.real:
+            z = z + 1j * (np.take(x, self.source + self.m, axis=-1) * self.im_sign)
+        return (z / self.divisor).reshape(x.shape[:-1] + (self.d, self.d))
 
 
 class _PartialTranspose:
@@ -311,59 +322,57 @@ class _PartialTranspose:
         return self.sign * x[..., self.perm]
 
 
-def _chol_logdet(chol: np.ndarray) -> float:
-    return 2.0 * float(np.log(chol.diagonal().real).sum())
+def _chol_logdet(chol: np.ndarray):  # log det M per Cholesky factor of a stack
+    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
 def _cholesky(basis: _EntryBasis, x: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor of M(x), or None when M(x) is not positive definite."""
+    """Cholesky factors of M(x), x a vector or a stack; None unless all are PD."""
     try:
         return np.linalg.cholesky(basis.matrix(x))
     except np.linalg.LinAlgError:
         return None
 
 
-def _inverse(chol: np.ndarray) -> tuple[np.ndarray, float]:
-    """N = M^-1 and log det M from the Cholesky factor of M."""
+def _inverse(chol: np.ndarray) -> np.ndarray:
+    """N = M^-1 from the Cholesky factor of M, or from a stack of them."""
     linv = np.linalg.inv(chol)
-    return linv.conj().T @ linv, _chol_logdet(chol)
+    return linv.conj().swapaxes(-1, -2) @ linv
 
 
 def _curvature(basis: _EntryBasis, blocks) -> np.ndarray:
-    """Sum of logdet curvatures Tr(E_k N E_l N) over (N, pairs) blocks.
+    """The logdet curvatures Tr(E_k N E_l N) of (N, pairs) blocks, stacked.
 
     With E_k expanded in matrix units, the curvature is a fixed signed
     combination of Z[(a,b),(c,d)] = N[b,c] N[d,a] over the units of E_k and
-    E_l. Z at a swapped pair (b,a),(d,c) is the conjugate, so the diagonal
-    and upper pairs suffice. A block with T_A's pairs gives T_A K T_A, since
-    T_A permutes matrix units; K_P + T_A K_Q T_A is one combination of
-    Z_P + Z_Q(moved pairs). O(16^n) work, no matrix product. In the real
-    basis only the diag/Re blocks are formed, from real N.
+    E_l; Z at a swapped pair (b,a),(d,c) is the conjugate, so the diagonal
+    and upper pairs suffice. T_A permutes matrix units, so T_A's pairs give
+    T_A K T_A: the curvature of Q_A = T_A(W - P_A) in P_A and W. O(16^n) work
+    per block, no matrix product; a real basis forms the diag/Re part only.
     """
     d, m = basis.d, basis.m
-    z_pairs = z_swapped = 0.0
-    for inv, pairs in blocks:
-        a, b = np.divmod(pairs, d)
-        rows_b = inv[b]
-        g = rows_b[:, a]
-        z_pairs = z_pairs + g * g.T  # Z at pairs (a, b), (c, d)
-        au, bu = a[d:], b[d:]
-        z_swapped = z_swapped + rows_b[d:, bu] * inv[au][:, au].T  # at (a, b), (d, c)
-    z_dd, z_du, z_ud = z_pairs[:d, :d], z_pairs[:d, d:], z_pairs[d:, :d]
-    total = z_pairs[d:, d:] + z_swapped
     re, im = slice(d, d + m), slice(d + m, None)
-    hess = np.empty((basis.size, basis.size))
-    hess[:d, :d] = z_dd.real
-    hess[:d, re] = _SQRT2 * z_du.real
-    hess[re, :d] = _SQRT2 * z_ud.real
-    hess[re, re] = total.real
-    if not basis.real:
-        diff = z_swapped - z_pairs[d:, d:]
-        hess[:d, im] = -_SQRT2 * z_du.imag
-        hess[im, :d] = -_SQRT2 * z_ud.imag
-        hess[im, re] = -total.imag
-        hess[re, im] = diff.imag
-        hess[im, im] = diff.real
+    hess = np.empty((len(blocks), basis.size, basis.size))
+    for h, (inv, pairs) in zip(hess, blocks):
+        a, b = np.divmod(pairs, d)
+        rows_a, rows_b = inv[a], inv[b]
+        g = rows_b[:, a]
+        z = np.multiply(g, g.T, out=h if basis.real else None)  # Z at pairs (a, b), (c, d)
+        del g  # no longer held while the swapped pairs are formed
+        swapped = rows_b[d:, b[d:]]  # at (a, b), (d, c); N[c, a] = conj N[a, c]
+        swapped *= rows_a[d:, a[d:]].conj()
+        if not basis.real:
+            z_uu = z[d:, d:]
+            h[:d, im] = -_SQRT2 * z[:d, d:].imag
+            h[im, :d] = -_SQRT2 * z[d:, :d].imag
+            h[im, re] = -(z_uu + swapped).imag
+            diff = swapped - z_uu
+            h[re, im] = diff.imag
+            h[im, im] = diff.real
+            h[: d + m, : d + m] = z.real
+        h[re, re] += swapped.real
+        h[:d, re] *= _SQRT2
+        h[re, :d] *= _SQRT2
     return hess
 
 
@@ -501,29 +510,20 @@ class _Program:
 
         P_a = r_a >= 0  and  Q_a = T_a(x0 + y @ sums - r_a) >= 0.
 
-    The directions are orbit sums of phased permutation matrices: word f has
-    the entries ``phases[f, i]`` at (i, ``cols[f, i]``), orbit o adds up the
-    words ``starts[o]`` to ``starts[o+1]-1``, and T_a maps word f to
-    ``signs[a, f]`` times itself. ``x0`` is in entry coordinates of
-    ``basis``, the objective is given per word (``c`` holds its orbit sums)
-    and ``nu`` is the barrier parameter of the path.
+    The directions ``sums`` are orbit sums of phased permutation matrices in
+    entry coordinates of ``basis``: word f has the entries ``phases[f, i]``
+    at (i, ``cols[f, i]``), and orbit o adds up the words ``starts[o]`` to
+    ``starts[o+1]-1``. ``x0`` is in entry coordinates, ``c`` holds the
+    objective's orbit sums and ``nu`` is the barrier parameter of the path.
     """
 
-    def __init__(self, basis, transposes, weights, signs, cols, phases, starts, x0, c, nu):
-        self.basis, self.transposes = basis, transposes
-        self.weights = tuple(map(float, weights))
-        self.signs, self.cols, self.x0, self.nu = signs, cols, x0, nu
+    def __init__(self, basis, transposes, weights, cols, phases, starts, x0, c, nu):
+        self.basis, self.transposes, self.x0, self.nu = basis, transposes, x0, nu
+        self.weights = np.asarray(weights, dtype=float)
         word_mats = np.zeros((cols.shape[0], basis.d, basis.d), dtype=phases.dtype)
         np.put_along_axis(word_mats, cols[:, :, None], phases[:, :, None], axis=2)
-        self.words = basis.coords(word_mats)
-        if starts.size == cols.shape[0]:
-            self.orbit_sum = lambda x: x  # every orbit is one word
-        else:
-            self.orbit_sum = functools.partial(np.add.reduceat, indices=starts, axis=0)
-        self.sums = self.orbit_sum(self.words)
-        self.c = self.orbit_sum(c)
-        # T_a of each word as a phased permutation: signs[a, f] * phases[f]
-        self.moved_phases = (signs[:, :, None] * phases)[..., None]
+        self.sums = np.add.reduceat(basis.coords(word_mats), starts, axis=0)
+        self.c = np.add.reduceat(c, starts)
 
 
 def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_iter: int):
@@ -531,62 +531,55 @@ def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_
 
     Newton-centers psi_t(y, r) = t*(c.y) - sum_a m_a [logdet P_a + logdet Q_a]
     stage by stage (``_stages(prog.nu, gap)``), the blocks eliminated into a
-    Schur system on y, with at most 60 damped Newton steps per stage and
-    ``max_iter`` in all (a step due after that raises ``SolverError``). After
-    each stage it yields (t, event, y, r, steps), with ``steps`` the Newton
-    steps taken so far and ``event``:
+    Schur system on y that is read off one curvature per block and formed
+    once per point (see the module docstring), with at most 60 damped Newton
+    steps per stage and ``max_iter`` in all (a step due after that raises
+    ``SolverError``). After each stage it yields (t, event, y, r, steps),
+    with ``steps`` the Newton steps taken so far and ``event``:
 
     - "centered": the stage centered, or its 60 steps ran out;
     - "singular": the Newton system was numerically singular, or roundoff
       made the squared decrement negative or non-finite;
     - "failed": no Armijo step was found down to a step length of 1e-12.
 
-    The Newton system is formed once per point: the first step of a stage
-    that begins where the last one closed reuses its system, adding only
-    the t*c terms anew.
-
     The caller stops the path by asking for no further stage.
     """
     basis, transposes, weights = prog.basis, prog.transposes, prog.weights
-    words, sums, cols, c, x0 = prog.words, prog.sums, prog.cols, prog.c, prog.x0
-    orbit_sum = prog.orbit_sum
+    sums, c, x0 = prog.sums, prog.c, prog.x0
     ny = c.size
 
     def psi(tb: float, yy: np.ndarray, rr: np.ndarray):
-        """Barrier merit and the blocks' Cholesky factors; (inf, None) outside
-        the cone product."""
+        """Barrier merit and the point: the (P_a, Q_a) Cholesky factors and the
+        merit's weighted logdet terms, in its order; (inf, None) outside the cones."""
         xw = x0 + yy @ sums
-        total = tb * float(c @ yy)
-        factors = []
+        x = np.empty((len(rr), 2, basis.size))
+        x[:, 0] = rr
         for a, pt in enumerate(transposes):
-            for x in (rr[a], pt(xw - rr[a])):
-                chol = _cholesky(basis, x)
-                if chol is None:
-                    return np.inf, None
-                total -= weights[a] * _chol_logdet(chol)
-                factors.append(chol)
-        return total, factors
+            x[a, 1] = pt(xw - rr[a])
+        factors = _cholesky(basis, x)
+        if factors is None:
+            return np.inf, None
+        terms = (weights[:, None] * _chol_logdet(factors)).ravel().tolist()
+        return functools.reduce(float.__sub__, terms, tb * float(c @ yy)), (factors, terms)
 
     def newton_system(factors):
-        """The part of the Newton system at the point of ``factors`` that
-        does not depend on t: the Schur matrix, the t-free part of its right
-        side, the block solves and gammas, and the weighted gradient and
-        logdet terms of each block, in the order the merit sums them."""
-        schur = np.zeros((ny, ny))
-        rhs_y = np.zeros(ny)
-        grads, logdets, solves, gammas = [], [], [], []
+        """The t-free Newton system at the point of ``factors``, with each
+        block's weighted gradient term in y."""
+        schur, rhs_y = np.zeros((ny, ny)), np.zeros(ny)
+        grads, solves, gammas = [], [], []
+        inverses = _inverse(factors)
+        grad_blocks = basis.coords(inverses)  # of logdet P_a and logdet Q_a
         for a, pt in enumerate(transposes):
-            n_p, ld_p = _inverse(factors[2 * a])
-            n_q, ld_q = _inverse(factors[2 * a + 1])
-            logdets += (weights[a] * ld_p, weights[a] * ld_q)
-            g_q = basis.coords(n_q)
-            gamma = pt(g_q) - basis.coords(n_p)
-            grads.append(weights[a] * orbit_sum(prog.signs[a] * (words @ g_q)))
-            b_mat = _curvature(basis, ((n_p, basis.pairs), (n_q, pt.pairs)))
-            # Coupling T_a K_Q T_a S_o = T_a(N_Q T_a(S_o) N_Q), with
-            # T_a(S_o) the orbit sum of the words' signed copies.
-            moved = orbit_sum(prog.moved_phases[a] * n_q[cols])
-            gf = pt(basis.coords(n_q @ moved)).T
+            (n_p, n_q), (g_p, g_q) = inverses[a], grad_blocks[a]
+            g_q = pt(g_q)  # the gradient of logdet Q_a in W
+            gamma = g_q - g_p
+            grads.append(weights[a] * (sums @ g_q))
+            h_p, h_q = _curvature(basis, ((n_p, basis.pairs), (n_q, pt.pairs)))
+            gf = h_q @ sums.T  # the coupling: Q_a's curvature on the directions
+            b_mat = np.add(h_p, h_q, out=h_p)
+            # Its diagonal raised by two roundings, a block whose small eigenvalues
+            # are lost to rounding (late margin stages) meets no exact 0 pivot.
+            b_mat.reshape(-1)[:: len(b_mat) + 1] *= 1.0 + 2.0 * np.finfo(float).eps
             sol = np.linalg.solve(b_mat, np.concatenate([gamma[:, None], gf], axis=1))
             # Schur block sums.gf - gf'.b^-1.gf, with the cancelling
             # difference taken before the product with the large gf.
@@ -594,35 +587,27 @@ def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_
             rhs_y -= weights[a] * (gf.T @ sol[:, 0])
             solves.append(sol)
             gammas.append(gamma)
-        return schur, rhs_y, grads, logdets, solves, gammas
+        return schur, rhs_y, grads, solves, gammas
 
     steps = 0
-    factors = psi(1.0, y, r)[1]  # of the current point, kept from the line search
+    point = psi(1.0, y, r)[1]  # factors and logdet terms, kept from the line search
     system = None  # of the current point, kept until a step moves it
     for t, center_tol in _stages(prog.nu, gap):
         event = "centered"
         for _ in range(60):
             try:
                 if system is None:
-                    system = newton_system(factors)
-                schur, rhs_y, grads, logdets, solves, gammas = system
-                grad_y = t * c
-                for g in grads:
-                    grad_y -= g
-                base = t * float(c @ y)  # psi(t, y, r), summed in psi's order
-                for ld in logdets:
-                    base -= ld
+                    system = newton_system(point[0])
+                schur, rhs_y, grads, solves, gammas = system
+                grad_y = functools.reduce(np.subtract, grads, t * c)
+                base = functools.reduce(float.__sub__, point[1], t * float(c @ y))  # psi(t, y, r)
                 rhs_y = rhs_y - grad_y
-                if ny == 1 and schur[0, 0]:
-                    dy = rhs_y / schur[0]  # LAPACK's 1x1 solve, without its overhead
-                else:
-                    dy = np.linalg.solve(schur, rhs_y)
+                # a 1x1 system divides: LAPACK's 1x1 solve, without its overhead
+                dy = rhs_y / schur[0] if ny == 1 and schur[0, 0] else np.linalg.solve(schur, rhs_y)
             except np.linalg.LinAlgError:
                 event = "singular"
                 break
-            dr = np.empty_like(r)
-            for a, sol in enumerate(solves):
-                dr[a] = sol[:, 1:] @ dy - sol[:, 0]
+            dr = np.array([sol[:, 1:] @ dy - sol[:, 0] for sol in solves])
             lam2 = -(grad_y @ dy + sum(m * (g @ s) for m, g, s in zip(weights, gammas, dr)))
             if not np.isfinite(lam2) or lam2 < 0:
                 event = "singular"  # curvature lost to roundoff
@@ -638,7 +623,7 @@ def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_
                 )
             step = 1.0
             while step > 1e-12:
-                cand, new_factors = psi(t, y + step * dy, r + step * dr)
+                cand, new_point = psi(t, y + step * dy, r + step * dr)
                 if cand <= base - 0.25 * step * lam2 + noise:
                     break
                 step *= 0.5
@@ -646,7 +631,7 @@ def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_
                 event = "failed"
                 break
             steps += 1
-            factors, system = new_factors, None
+            point, system = new_point, None
             y = y + step * dy
             r = r + step * dr
         yield t, event, y, r, steps
@@ -702,7 +687,6 @@ def _synthesize(
         basis,
         [_partial_transpose(n, parts[i], real, span) for i in reps],
         weights,
-        np.stack([pauli.pt_signs(n, parts[i])[free_idx] for i in reps]),
         cols,
         phases,
         starts,
@@ -860,7 +844,7 @@ def _max_margin_split(xw, basis, pt, tol):
     # the synthesis form with x0 = W, one direction -2I, c = (-1) and one cut.
     d = basis.d
     prog = _Program(
-        basis, [pt], weights=np.ones(1), signs=np.ones((1, 1)), cols=np.arange(d)[None],
+        basis, [pt], weights=np.ones(1), cols=np.arange(d)[None],
         phases=np.full((1, d), -2.0), starts=np.zeros(1, dtype=np.intp), x0=xw,
         c=np.array([-1.0]), nu=2.0 * d,
     )

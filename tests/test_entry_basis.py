@@ -48,9 +48,10 @@ def test_gradient_and_curvature_match_pauli_formulas(seed, n):
     d = 2**n
     m = _random_pd(rng, d)
     basis = sdp._entry_basis(n)
-    inv, logdet = sdp._inverse(sdp._cholesky(basis, basis.coords(m)))
+    chol = sdp._cholesky(basis, basis.coords(m))
+    inv, logdet = sdp._inverse(chol), sdp._chol_logdet(chol)
     grad = basis.coords(inv)
-    hess = sdp._curvature(basis, ((inv, basis.pairs),))
+    (hess,) = sdp._curvature(basis, ((inv, basis.pairs),))
     assert logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12)
 
     paulis = pauli.pauli_basis(n)
@@ -104,13 +105,14 @@ def test_transposed_block_curvature_is_conjugated_by_the_signed_permutation():
     n = 3
     basis = sdp._entry_basis(n)
     inv = np.linalg.inv(_random_pd(rng, 2**n))
-    k = sdp._curvature(basis, ((inv, basis.pairs),))
+    (k,) = sdp._curvature(basis, ((inv, basis.pairs),))
     for part in pauli.bipartitions(n):
         pt = sdp._partial_transpose(n, part)
         t_mat = pt(np.eye(4**n))  # T_A as a matrix; symmetric, as T_A is an involution
         assert np.array_equal(t_mat, t_mat.T)
-        both = sdp._curvature(basis, ((inv, basis.pairs), (inv, pt.pairs)))
-        assert _rel_err(both, k + t_mat @ k @ t_mat) < 1e-13
+        k_p, k_q = sdp._curvature(basis, ((inv, basis.pairs), (inv, pt.pairs)))
+        assert np.array_equal(k_p, k)  # each block's curvature on its own
+        assert _rel_err(k_q, t_mat @ k @ t_mat) < 1e-13
 
 
 def test_monomial_form_matches_dense_paulis():
@@ -194,16 +196,14 @@ def test_real_curvature_is_the_leading_block_of_the_full_one(seed, n):
         pairs = sdp._partial_transpose(n, part).pairs
         assert np.array_equal(pairs, sdp._partial_transpose(n, part, True).pairs)
         blocks = ((inv_p, full.pairs), (inv_q, pairs))
-        k_full = sdp._curvature(full, blocks)
-        k_real = sdp._curvature(real, blocks)
-        lead = slice(0, real.size)
-        assert k_real.shape == (real.size, real.size)
-        assert _rel_err(k_real, k_full[lead, lead]) < 1e-13
-        # At a real N the Im coordinates decouple from the diag/Re ones: the
-        # Newton step of a real iterate has no Im part, so it is the real step.
-        rest = slice(real.size, None)
-        assert np.max(np.abs(k_full[lead, rest]), initial=0.0) == 0.0
-        assert np.max(np.abs(k_full[rest, lead]), initial=0.0) == 0.0
+        lead, rest = slice(0, real.size), slice(real.size, None)
+        for k_full, k_real in zip(sdp._curvature(full, blocks), sdp._curvature(real, blocks)):
+            assert k_real.shape == (real.size, real.size)
+            assert _rel_err(k_real, k_full[lead, lead]) < 1e-13
+            # At a real N the Im coordinates decouple from the diag/Re ones: the
+            # Newton step of a real iterate has no Im part, so it is the real step.
+            assert np.max(np.abs(k_full[lead, rest]), initial=0.0) == 0.0
+            assert np.max(np.abs(k_full[rest, lead]), initial=0.0) == 0.0
 
 
 @st.composite
@@ -271,5 +271,51 @@ def test_span_curvature_is_the_principal_submatrix_of_the_full_one(case, real, s
         pt, pt_full = sdp._partial_transpose(n, part, real, span), sdp._partial_transpose(n, part, real)
         k_sub = sdp._curvature(sub, ((inv_p, sub.pairs), (inv_q, pt.pairs)))
         k_full = sdp._curvature(full, ((inv_p, full.pairs), (inv_q, pt_full.pairs)))
-        assert k_sub.shape == (sub.size, sub.size)
-        assert _rel_err(k_sub, k_full[np.ix_(kept, kept)]) < 1e-13
+        assert k_sub.shape == (2, sub.size, sub.size)
+        for h_sub, h_full in zip(k_sub, k_full):
+            assert _rel_err(h_sub, h_full[np.ix_(kept, kept)]) < 1e-13
+
+
+def _coupling_cases():
+    span = sdp._xor_span([0b0011, 0b1100])
+    for real, kind in ((True, "real"), (False, "hermitian")):
+        for part in pauli.bipartitions(3):
+            label = "".join(map(str, sorted(part)))
+            yield pytest.param(3, real, None, part, id=f"3-{kind}-{label}")
+        yield pytest.param(4, real, span, frozenset({1, 3}), id=f"4-{kind}-span-13")
+
+
+@pytest.mark.parametrize("n, real, span, part", list(_coupling_cases()))
+def test_coupling_and_gradient_read_off_the_q_block_curvature(n, real, span, part):
+    # The engine's coupling is H_Q @ sums.T with H_Q = T_A K_Q T_A, and its
+    # gradient of logdet Q is sums @ T_A(coords N_Q). Both equal the
+    # phased-permutation forms they replace: T_A(coords(N_Q T_A(S_o) N_Q)),
+    # with T_A(S_o) the orbit sum of the words' signed copies, and the orbit
+    # sums of s_f <P_f, N_Q>.
+    rng = np.random.default_rng(7)
+    d = 2**n
+    basis = sdp._entry_basis(n, real, span)
+    pt = sdp._partial_transpose(n, part, real, span)
+    cols, phases = pauli.monomial_form(n)
+    kept = np.isin(cols[:, 0], list(span) if span is not None else np.arange(d))
+    if real:
+        kept &= pauli.pt_signs(n, frozenset(range(1, n + 1))) > 0  # no odd-Y words
+    words = np.flatnonzero(kept)[1:]  # the identity is not a direction
+    cols, phases = cols[words], (phases.real if real else phases)[words]
+    starts = np.arange(0, words.size, 3)  # any grouping of the words into orbits
+    prog = sdp._Program(
+        basis, [pt], np.ones(1), cols, phases, starts, basis.identity, np.zeros(words.size), 1.0
+    )
+    draw = _random_real_pd if real else _random_pd
+    n_q = draw(rng, d) if span is None else _on_span(draw(rng, d), span)
+    (h_q,) = sdp._curvature(basis, ((n_q, pt.pairs),))
+
+    signs = pauli.pt_signs(n, part)[words]
+    moved = np.add.reduceat((signs[:, None] * phases)[..., None] * n_q[cols], starts, axis=0)
+    assert _rel_err(h_q @ prog.sums.T, pt(basis.coords(n_q @ moved)).T) < 1e-13
+
+    word_mats = np.zeros((words.size, d, d), dtype=phases.dtype)
+    np.put_along_axis(word_mats, cols[:, :, None], phases[:, :, None], axis=2)
+    g_q = basis.coords(n_q)
+    old = np.add.reduceat(signs * (basis.coords(word_mats) @ g_q), starts)
+    assert _rel_err(prog.sums @ pt(g_q), old) < 1e-13

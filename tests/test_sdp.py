@@ -107,9 +107,8 @@ def _same_stage_ends(first, second):
 
 
 def test_barrier_path_iterates_are_deterministic(monkeypatch):
-    # identical inputs give identical iterates at every stage end, in both
-    # programs: the Newton system kept across a stage boundary is the one
-    # a fresh build would give
+    # identical inputs give identical iterates at every stage end, in a
+    # synthesis and in a margin program
     ends = _stage_ends(monkeypatch)
     runs = []
     for _ in range(2):
@@ -226,7 +225,12 @@ def evaluate_projector_alpha():
 def _count_factorizations(monkeypatch):
     calls = []
     cholesky = sdp_module._cholesky
-    monkeypatch.setattr(sdp_module, "_cholesky", lambda *a: calls.append(1) or cholesky(*a))
+    # one entry per matrix factored: _cholesky takes a stack of coordinate vectors
+    def spy(basis, x):
+        calls.extend(x.reshape(-1, x.shape[-1]))
+        return cholesky(basis, x)
+
+    monkeypatch.setattr(sdp_module, "_cholesky", spy)
     return calls
 
 
