@@ -20,6 +20,17 @@ A record matches a wanted product when both measure the same qubits and each
 measured axis agrees within 1e-10 per component, either as is or negated,
 with an even number of negated axes: [(X-Z)/r2]x2 is the same operator as
 [(Z-X)/r2]x2, [(X-Z)/r2]x3 is not.
+
+Plans that immutable inputs fix are made once, each in a bounded
+``functools.lru_cache`` keyed on its whole input: ``parse_operator`` on
+(text, n); the grouping of ``plan_settings`` (``_setting_groups``) on (n,
+the expression's words); the covering-table choice and outcome signs of
+``estimate_expectations`` (``_cover_plan``) on (table settings, operators);
+the record match of ``_combine`` (``_match_plan``) on (record products,
+target ops); the one-qubit outcome maps (``_outcome_map``) on the axis, a
+word's ProductOp (``_word_op``) on the word and a fidelity plan's targets
+(``_plan_targets``) on (n, record combination). A call that raises caches
+nothing, and no cached value is handed out mutable.
 """
 
 from __future__ import annotations
@@ -165,8 +176,9 @@ _COMPOSITE = re.compile(r"^\[\(([XYZ])([+-])([XYZ])\)/r2\](x(\d+)|_([\d,]+))$")
 _INDEXED = re.compile(r"([XYZ])(\d+)")
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_operator(text: str, n: int) -> ProductOp:
-    """Product operator from table text.
+    """Product operator from table text, parsed once per (text, n).
 
     Accepted forms: an n-letter word over {I,X,Y,Z}; concatenated indexed
     factors like ``X1X2`` or ``Z1Y3Y4`` (unlisted qubits are identity);
@@ -226,10 +238,17 @@ def plan_settings(expr: ObservableExpr) -> list[tuple[ProductOp, list[str]]]:
 
     Two words share a setting iff on every qubit their letters agree or at
     least one is identity. Deterministic: words are visited in lexicographic
-    order and fall into the first open setting that fits.
+    order and fall into the first open setting that fits. The grouping is
+    planned once per (n, words); each call returns fresh lists.
     """
-    n = expr.n
-    words = sorted(w for w in expr.terms if set(w) != {"I"})
+    groups = _setting_groups(expr.n, tuple(expr.terms))
+    return [(setting, list(covered)) for setting, covered in groups]
+
+
+@functools.lru_cache(maxsize=64)
+def _setting_groups(n: int, terms: tuple) -> tuple:
+    """:func:`plan_settings` of an expression with the words ``terms``, as tuples."""
+    words = sorted(w for w in terms if set(w) != {"I"})
     groups: list[tuple[list[str], list[str]]] = []  # (per-qubit letters, covered words)
     for word in words:
         for letters, covered in groups:
@@ -241,7 +260,9 @@ def plan_settings(expr: ObservableExpr) -> list[tuple[ProductOp, list[str]]]:
                 break
         else:
             groups.append(([c for c in word], [word]))
-    return [(parse_operator("".join(letters), n), covered) for letters, covered in groups]
+    return tuple(
+        (parse_operator("".join(letters), n), tuple(covered)) for letters, covered in groups
+    )
 
 
 # --- simulation ---------------------------------------------------------
@@ -345,22 +366,18 @@ def _outcome_signs(n: int, masks) -> np.ndarray:
 def estimate_expectations(tables, operators) -> list[ExpectationRecord]:
     """Signed-count estimates of product operators from covering tables.
 
-    Each operator is read from the first table whose setting covers it.
-    Marginal operators (e.g. a pair inside a full product setting) reuse the
-    same counts by summing over the unmeasured qubits' outcomes. sigma is the
-    binomial standard error sqrt((1 - value^2)/shots); each record keeps its
-    table, so combinations can count same-setting covariances.
+    Each operator is read from the first table whose setting covers it; that
+    choice is planned once per (settings, operators). Marginal operators (e.g.
+    a pair inside a full product setting) reuse the same counts by summing
+    over the unmeasured qubits' outcomes. sigma is the binomial standard error
+    sqrt((1 - value^2)/shots); each record keeps its table, so combinations
+    can count same-setting covariances.
     """
-    operators = list(operators)
-    chosen = []
-    for op in operators:
-        table = next((t for t in tables if t.setting.covers(op)), None)
-        if table is None:
-            raise ValueError(f"no table's setting covers operator {op.text!r}")
-        chosen.append(table)
+    tables, operators = tuple(tables), tuple(operators)
     if not operators:
         return []
-    signs = _outcome_signs(operators[0].n, [op.mask for op in operators])
+    rows, signs = _cover_plan(tuple([t.setting for t in tables]), operators)
+    chosen = [tables[row] for row in rows]
     counts = np.stack([t.counts for t in chosen])
     shots = np.array([t.shots for t in chosen])
     values = (signs * counts).sum(axis=1) / shots
@@ -369,6 +386,21 @@ def estimate_expectations(tables, operators) -> list[ExpectationRecord]:
         ExpectationRecord(op, value, sigma, table)
         for op, value, sigma, table in zip(operators, values.tolist(), sigmas.tolist(), chosen)
     ]
+
+
+@functools.lru_cache(maxsize=256)
+def _cover_plan(settings: tuple, operators: tuple) -> tuple:
+    """(rows, signs) of a nonempty operator tuple: per operator the index of the
+    first setting that covers it, and the operators' outcome signs."""
+    rows = []
+    for op in operators:
+        row = next((k for k, s in enumerate(settings) if s.covers(op)), None)
+        if row is None:
+            raise ValueError(f"no table's setting covers operator {op.text!r}")
+        rows.append(row)
+    signs = _outcome_signs(operators[0].n, [op.mask for op in operators])
+    signs.setflags(write=False)
+    return tuple(rows), signs
 
 
 def _same_operator(a: ProductOp, b: ProductOp) -> bool:
@@ -409,24 +441,20 @@ def _count_variance(terms) -> float:
 def _combine(records, targets, constant: float) -> tuple[float, float]:
     """constant + sum of coeff * record value over (coeff, ProductOp) targets.
 
-    Each target must match exactly one record. Records estimated from one
-    count table contribute the variance of their weighted sum over that
-    table's outcomes; records without a table add in quadrature.
+    Each target must match exactly one record; the match is planned once per
+    (record products, target ops). Records estimated from one count table
+    contribute the variance of their weighted sum over that table's outcomes;
+    records without a table add in quadrature.
     """
-    # keyed by which qubits are measured; the key's length is the qubit count
-    by_support: dict[tuple, list[ExpectationRecord]] = {}
-    for rec in records:
-        by_support.setdefault(tuple(a is None for a in rec.product.axes), []).append(rec)
+    records = tuple(records)
+    # keys built from lists: tuple() sizes them once, where a generator's
+    # tuple grows by reallocation, which fragments the heap over many calls
+    products, ops = tuple([rec.product for rec in records]), tuple([op for _, op in targets])
+    rows = _match_plan(products, ops)
     value, variance = constant, 0.0
     counted = []  # (coeff, record) terms estimated from count tables
-    for coeff, op in targets:
-        candidates = by_support.get(tuple(a is None for a in op.axes), ())
-        matches = [r for r in candidates if _same_operator(r.product, op)]
-        if len(matches) != 1:
-            raise ValueError(
-                f"operator {op.text!r} matched {len(matches)} records, expected exactly 1"
-            )
-        rec = matches[0]
+    for (coeff, _), row in zip(targets, rows):
+        rec = records[row]
         value += coeff * rec.value
         if rec.table is None:
             variance += (coeff * rec.sigma) ** 2
@@ -435,6 +463,26 @@ def _combine(records, targets, constant: float) -> tuple[float, float]:
     if counted:
         variance += _count_variance(counted)
     return value, math.sqrt(variance)
+
+
+@functools.lru_cache(maxsize=256)
+def _match_plan(products: tuple, targets: tuple) -> tuple:
+    """Per target, the index of the one product it matches (``_same_operator``
+    among the products on the same qubits); ValueError unless exactly one."""
+    # keyed by which qubits are measured; the key's length is the qubit count
+    by_support: dict[tuple, list[int]] = {}
+    for row, product in enumerate(products):
+        by_support.setdefault(tuple(a is None for a in product.axes), []).append(row)
+    rows = []
+    for op in targets:
+        candidates = by_support.get(tuple(a is None for a in op.axes), ())
+        matches = [row for row in candidates if _same_operator(products[row], op)]
+        if len(matches) != 1:
+            raise ValueError(
+                f"operator {op.text!r} matched {len(matches)} records, expected exactly 1"
+            )
+        rows.append(matches[0])
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=1024)

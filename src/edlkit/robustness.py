@@ -8,7 +8,10 @@ R_t on every qubit, the unique linear extension to arbitrary expressions.
 A tolerance curve is one batched contraction over the angles, never expanding
 the tilted witness: Tr(W_t rho) = 2^n <w, (R_t^T)^(xn) r> for the Pauli
 coordinates w and r of witness and state (:func:`pauli.local_map`). Crossovers
-evaluate both witnesses the same way.
+evaluate both witnesses the same way. Each batch of angles builds its letter
+maps as one (T, 4, 4) stack (``_letter_maps``) and checks mode and angles
+once (``_check_angles``, the checks of :class:`MisalignmentSpec`); nothing
+is cached.
 """
 
 from __future__ import annotations
@@ -36,25 +39,44 @@ class MisalignmentSpec:
     mode: str = "all_axes"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        if not 0.0 <= self.theta <= math.pi / 2:
-            warnings.warn(
-                f"theta={self.theta:.4g} is outside [0, pi/2]; the substitution "
-                "is still applied but sweeps normally stay inside that range",
-                stacklevel=2,
-            )
+        _check_angles((self.theta,), self.mode)
+
+
+def _check_angles(thetas, mode: str) -> None:
+    """Raise ValueError for an unknown mode or a non-finite angle; warn once when
+    an angle lies outside [0, pi/2], at the line that made the spec or the curve."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError("theta must be finite")
+    outside = [t for t in thetas if not 0.0 <= t <= math.pi / 2]
+    if outside:
+        warnings.warn(
+            f"theta={outside[0]:.4g} is outside [0, pi/2]; the substitution "
+            "is still applied but sweeps normally stay inside that range",
+            stacklevel=4,
+        )
+
+
+def _letter_maps(thetas, mode: str) -> np.ndarray:
+    """C-ordered (T, 4, 4) stack of the letter maps R_t, R[k, b, a] the weight of
+    letter b in the tilted letter a at angle thetas[k]; unvalidated."""
+    c = np.array([math.cos(t) for t in thetas])
+    s = np.array([math.sin(t) for t in thetas])
+    rows = np.zeros((len(c), 4, 4))
+    rows[:, 0, 0] = 1.0
+    if mode == "all_axes":  # X -> cX + sY, Y -> cY + sZ, Z -> cZ + sX
+        rows[:, 1, 1] = rows[:, 2, 2] = rows[:, 3, 3] = c
+        rows[:, 2, 1] = rows[:, 3, 2] = rows[:, 1, 3] = s
+    else:  # y_only: Y -> cY + sZ
+        rows[:, 1, 1] = rows[:, 3, 3] = 1.0
+        rows[:, 2, 2], rows[:, 3, 2] = c, s
+    return rows
 
 
 def _letter_map(spec: MisalignmentSpec) -> np.ndarray:
     """4x4 matrix R with R[b, a] the weight of letter b in the tilted letter a."""
-    c, s = math.cos(spec.theta), math.sin(spec.theta)
-    if spec.mode == "all_axes":  # X -> cX + sY, Y -> cY + sZ, Z -> cZ + sX
-        return np.array([[1, 0, 0, 0], [0, c, 0, s], [0, s, c, 0], [0, 0, s, c]])
-    # y_only: Y -> cY + sZ
-    return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, 0], [0, 0, s, 1]])
+    return _letter_maps((spec.theta,), spec.mode)[0]
 
 
 def misalign_expr(expr: ObservableExpr, spec: MisalignmentSpec) -> ObservableExpr:
@@ -72,8 +94,12 @@ def _tolerances(
 ) -> list[float | None]:
     """White-noise tolerance of expr (Pauli coordinates coords) misaligned by each
     angle, on the state with Pauli coordinates rho_coords: one contraction over
-    all the angles."""
-    maps = np.stack([_letter_map(MisalignmentSpec(t, mode)).T for t in thetas])
+    all the angles, whose letter maps are built as one stack and validated once
+    (:class:`MisalignmentSpec`'s checks)."""
+    _check_angles(thetas, mode)
+    # R^T as a transposed view of the C-ordered stack: local_map's summation
+    # order follows the layout, and this is the layout the curves were pinned in
+    maps = _letter_maps(thetas, mode).transpose(0, 2, 1)
     values = pauli.local_map(rho_coords, [maps] * expr.n) @ coords * 2**expr.n
     # misalignment never maps a letter to I: the identity coefficient stays expr's
     return [_noise_tolerance(expr, float(v)) for v in values]

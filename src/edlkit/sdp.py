@@ -546,12 +546,16 @@ def _barrier_path(prog: _Program, y: np.ndarray, r: np.ndarray, gap: float, max_
     """
     basis, transposes, weights = prog.basis, prog.transposes, prog.weights
     sums, c, x0 = prog.sums, prog.c, prog.x0
-    ny = c.size
+    ny, d = c.size, basis.d
 
     def psi(tb: float, yy: np.ndarray, rr: np.ndarray):
         """Barrier merit and the point: the (P_a, Q_a) Cholesky factors and the
         merit's weighted logdet terms, in its order; (inf, None) outside the cones."""
         xw = x0 + yy @ sums
+        # T_A fixes the d diagonal coordinates and no Cholesky pivot exceeds its
+        # diagonal entry: a block with a nonpositive diagonal entry fails unfactored
+        if (rr[:, :d] <= 0).any() or (xw[:d] - rr[:, :d] <= 0).any():
+            return np.inf, None
         x = np.empty((len(rr), 2, basis.size))
         x[:, 0] = rr
         for a, pt in enumerate(transposes):

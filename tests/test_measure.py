@@ -447,6 +447,47 @@ def test_combine_missing_and_duplicate_records():
     assert combine([unused, rec, unused], expr) == (0.9, 0.01)
 
 
+def test_cached_match_keeps_the_tolerance_and_the_sign_rule():
+    # the match is planned once per (record products, targets): every case
+    # is asked twice, the second time from the plan
+    target = parse_operator("[(X-Z)/r2]x2", 2)
+    (a, b) = target.axes
+    near = ProductOp(2, (tuple(x + 5e-11 for x in a), b), "near")
+    both = ProductOp(2, (tuple(-x for x in a), tuple(-x for x in b)), "both negated")
+    one = ProductOp(2, (tuple(-x for x in a), b), "one negated")
+    for product in (near, both):
+        for _ in range(2):
+            record = ExpectationRecord(product, 0.25, 0.0)
+            assert measure._combine([record], [(2.0, target)], 0.5) == (1.0, 0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="matched 0 records, expected exactly 1"):
+            measure._combine([ExpectationRecord(one, 0.25, 0.0)], [(2.0, target)], 0.5)
+
+
+def test_failed_plans_raise_on_every_call():
+    expr = ObservableExpr(2, {"ZZ": 1.0})
+    rec = ExpectationRecord(parse_operator("ZZ", 2), 0.9, 0.01)
+    rho = states.density(states.make_state("W3"))
+    tables = simulate_counts(rho, [parse_operator("ZZZ", 3)], 100, seed=0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'ZZ' matched 2 records, expected exactly 1"):
+            combine([rec, rec], expr)
+        with pytest.raises(ValueError, match="'ZZ' matched 0 records, expected exactly 1"):
+            combine([], expr)
+        with pytest.raises(ValueError, match="no table's setting covers operator 'X1'"):
+            estimate_expectations(tables, [parse_operator("X1", 3)])
+
+
+def test_plan_settings_returns_fresh_lists():
+    expr = load_paper_witness("D4", 5).expr
+    first = plan_settings(expr)
+    want = [(setting, list(words)) for setting, words in first]
+    first[0][1].append("XXXX")
+    first[-1][1].clear()
+    first.pop()
+    assert plan_settings(expr) == want
+
+
 # --- fidelity plans ---------------------------------------------------------
 
 @pytest.mark.parametrize("state,n_settings", [("W3", 5), ("W4", 7), ("D4", 9), ("C4", 9)])

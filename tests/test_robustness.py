@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from edlkit import pauli, robustness, states
 from edlkit.pauli import PAULI_1Q
 from edlkit.robustness import MisalignmentSpec, ToleranceCurve, crossover, default_grid, misalign_expr, tolerance_curve
-from edlkit.witness import ObservableExpr, evaluate, load_catalog, load_paper_witness, p_noise, projector_witness
+from edlkit.witness import (
+    ObservableExpr,
+    _noise_tolerance,
+    evaluate,
+    load_catalog,
+    load_paper_witness,
+    p_noise,
+    projector_witness,
+)
 
 D4_RHO = states.density(states.make_state("D4"))
 
@@ -65,6 +73,46 @@ def test_spec_validation():
         MisalignmentSpec(float("nan"), "all_axes")
     with pytest.warns(UserWarning):
         MisalignmentSpec(2.0, "all_axes")
+
+
+def test_tolerance_curve_validation():
+    w = load_paper_witness("D4", 5)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        tolerance_curve(w, D4_RHO, [0.1], "sideways")
+    with pytest.raises(ValueError, match="theta must be finite"):
+        tolerance_curve(w, D4_RHO, [0.1, float("nan")])
+    with pytest.warns(UserWarning, match="outside"):
+        tolerance_curve(w, D4_RHO, [0.1, 2.0])
+
+
+def _rule_letter_map(theta, mode):
+    """The letter map written out from the substitution rules."""
+    c, s = math.cos(theta), math.sin(theta)
+    if mode == "all_axes":
+        return np.array([[1, 0, 0, 0], [0, c, 0, s], [0, s, c, 0], [0, 0, s, c]])
+    return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, 0], [0, 0, s, 1]])
+
+
+@pytest.mark.parametrize("mode", robustness.MODES)
+def test_letter_map_stack_gives_the_per_angle_tolerances(mode):
+    # one stack of letter maps per batch gives the tolerances, bit for bit, of
+    # a stack of each angle's transposed map (the layout fixes local_map's
+    # summation order)
+    grid = default_grid()
+    for theta in grid:
+        assert np.array_equal(
+            robustness._letter_map(MisalignmentSpec(theta, mode)), _rule_letter_map(theta, mode)
+        )
+    for w in load_catalog():
+        n = w.expr.n
+        rho_coords = pauli.to_pauli_coords(states.density(states.make_state(w.target_state)))
+        coords = w.expr.coords()
+        for start in range(0, len(grid), robustness._THETA_BATCH):
+            batch = grid[start:start + robustness._THETA_BATCH]
+            maps = np.stack([robustness._letter_map(MisalignmentSpec(t, mode)).T for t in batch])
+            values = pauli.local_map(rho_coords, [maps] * n) @ coords * 2**n
+            got = robustness._tolerances(w.expr, coords, rho_coords, batch, mode)
+            assert got == [_noise_tolerance(w.expr, float(v)) for v in values], (w.label, start)
 
 
 def test_default_grid():

@@ -293,6 +293,32 @@ def test_margin_newton_system_counts(monkeypatch, label, systems):
     assert len(calls) == systems
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_partial_transpose_fixes_the_diagonal_coordinates(real):
+    # the merit reads Q_A's diagonal as (W - P_A)'s, unmoved and unsigned
+    for n in (2, 3, 4):
+        for span in (None, frozenset({0, 3})):
+            basis = sdp_module._EntryBasis(n, real, span)
+            for part in pauli.bipartitions(n):
+                pt = sdp_module._PartialTranspose(basis, part)
+                assert np.array_equal(pt.perm[: basis.d], np.arange(basis.d))
+                assert np.array_equal(pt.sign[: basis.d], np.ones(basis.d))
+
+
+def test_merit_factorization_counts(monkeypatch):
+    # pins the line search's factorizations: one _cholesky call per merit
+    # evaluation whose point has a positive diagonal in every block; a
+    # candidate with a nonpositive diagonal entry is rejected unfactored
+    calls = []
+    cholesky = sdp_module._cholesky
+    monkeypatch.setattr(sdp_module, "_cholesky", lambda *a: calls.append(1) or cholesky(*a))
+    assert synthesize(W3_RHO, PAIRS_12_23).solution.iterations == 28
+    assert len(calls) == 36
+    calls.clear()
+    decomposition_margins(load_paper_witness("D4", 5).expr)
+    assert len(calls) == 91
+
+
 @pytest.mark.parametrize(
     "state, family",
     [("W3", PAIRS_12_23), ("W4", all_k_family(4, 2)), ("D4", all_k_family(4, 2))],

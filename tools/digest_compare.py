@@ -12,7 +12,8 @@ else what differs:
   (an infinite bound on one side only counts as inf), and the sizes;
 - verify lines: whether the verdict (None or a certificate) changed, and
   whether the certificate hash did;
-- count lines (Newton steps and systems): the delta of each count;
+- count lines (Newton steps and systems, merit factorizations): the delta
+  of each count;
 - any other line (the sweep-sim operations): "differs".
 
 A label found in one digest only is printed as "only in old" or "only in
@@ -100,7 +101,7 @@ def compare(label: str, old: str, new: str, summary: dict) -> str:
             summary["verdicts"].append(label)
             return f"VERDICT {old[:12]} -> {new[:12]}"
         return "verdict same, certificate hash differs"
-    if label.endswith(("newton steps", "newton systems")):
+    if label.endswith(("newton steps", "newton systems", "merit factorizations")):
         a, b = counts(old), counts(new)
         if a.keys() != b.keys():
             return "differs"

@@ -20,7 +20,10 @@ whether a change moved any iterate:
   Newton systems and those of the certify-catalog workload's margin
   programs (calls of ``sdp._curvature``, one per Newton system and cut
   block; for the margins only those ``decomposition_margins`` makes), which
-  the benchmark's ``newton_steps`` leaves out;
+  the benchmark's ``newton_steps`` leaves out, and the merit factorizations
+  of the same three (calls of ``sdp._cholesky``: one per merit evaluation
+  whose point has a positive diagonal in every block, which factors all of
+  its blocks at once);
 - last, every operation of the sweep-sim workload at seed 1, in its order:
   a hash of each tolerance curve, the repr of each crossover angle, and for
   each simulated experiment the SHA-256 of its counts, of the per-setting
@@ -88,18 +91,18 @@ def synthesis_line(label: str, result, sizes: str) -> str:
             f"gap={sol.duality_gap!r} cert={certificate_hash(sol.certificates)} {sizes}")
 
 
-class CurvatureCalls:
-    """Takes the place of ``sdp._curvature`` for the rest of the run and
-    counts its calls."""
+class Calls:
+    """Takes the place of the function ``sdp.<name>`` for the rest of the run
+    and counts its calls."""
 
-    def __init__(self):
+    def __init__(self, name: str):
         self.calls = 0
-        self.curvature = sdp._curvature
-        sdp._curvature = self
+        self.function = getattr(sdp, name)
+        setattr(sdp, name, self)
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.curvature(*args, **kwargs)
+        return self.function(*args, **kwargs)
 
     def take(self) -> int:
         """The calls since the last call."""
@@ -133,7 +136,7 @@ class ProgramSizes:
 def main() -> None:
     rho = {name: states.density(states.make_state(name)) for name in states.STATE_NAMES}
 
-    sizes, systems = ProgramSizes(), CurvatureCalls()
+    sizes, systems, merits = ProgramSizes(), Calls("_curvature"), Calls("_cholesky")
     steps = 0
     cases = [(state, family) for state, family, _, _ in SUMMARY_ROWS]
     cases += [("C4", family) for family in C4_DEVIATION_FAMILIES]
@@ -141,7 +144,7 @@ def main() -> None:
         result = sdp.synthesize(rho[state], family)
         steps += result.solution.iterations
         print(synthesis_line(f"synth {state} {_label(family)}", result, sizes.take()))
-    synth_steps, synth_systems = steps, systems.take()
+    synth_steps, synth_systems, synth_merits = steps, systems.take(), merits.take()
 
     steps = 0
     for state in DETECTION_LENGTH:
@@ -150,7 +153,7 @@ def main() -> None:
             result = sdp.synthesize(rho[state], sdp.all_k_family(n, k))
             steps += result.solution.iterations
             print(synthesis_line(f"edl {state} k={k}", result, sizes.take()))
-    scan_steps, scan_systems = steps, systems.take()
+    scan_steps, scan_systems, scan_merits = steps, systems.take(), merits.take()
 
     for name, k in (("W5", 1), ("D(5,2)", 2)):
         family = sdp.all_k_family(5, 2)
@@ -161,11 +164,13 @@ def main() -> None:
     for state in ("D4", "C4"):
         proj = witness.projector_witness(states.make_state(state))
         entries.append((f"{state}-projector", (1.0 / proj.expr.trace()) * proj.expr))
-    margin_systems = 0
+    margin_systems = margin_merits = 0
     for label, expr in entries:
         systems.take()
+        merits.take()
         margins = sdp.decomposition_margins(expr)
         margin_systems += systems.take()
+        margin_merits += merits.take()
         pairs = " ".join(
             f"{''.join(map(str, sorted(part)))}:{margins[part][0]!r},{margins[part][1]!r}"
             for part in sorted(margins, key=sorted)
@@ -177,6 +182,8 @@ def main() -> None:
     print(f"newton steps: synth-table {synth_steps}, edl-scan {scan_steps}")
     print(f"synthesis newton systems: synth-table {synth_systems}, edl-scan {scan_systems}")
     print(f"margin newton systems: certify-catalog {margin_systems}")
+    print(f"merit factorizations: synth-table {synth_merits}, edl-scan {scan_merits}, "
+          f"certify-catalog {margin_merits}")
     sweep_lines()
 
 
