@@ -27,10 +27,10 @@ Plans that immutable inputs fix are made once, each in a bounded
 the expression's words); the covering-table choice and outcome signs of
 ``estimate_expectations`` (``_cover_plan``) on (table settings, operators);
 the record match of ``_combine`` (``_match_plan``) on (record products,
-target ops); the one-qubit outcome maps (``_outcome_map``) on the axis, a
-word's ProductOp (``_word_op``) on the word and a fidelity plan's targets
-(``_plan_targets``) on (n, record combination). A call that raises caches
-nothing, and no cached value is handed out mutable.
+target ops); the one-qubit outcome maps (``_outcome_map``) on the axis and
+a fidelity plan's targets (``_plan_targets``) on (n, record combination).
+``combine`` takes each word's ProductOp from ``parse_operator``'s cache. A
+call that raises caches nothing, and no cached value is handed out mutable.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ PAULI_AXES = {
     "Y": (0.0, 1.0, 0.0),
     "Z": (0.0, 0.0, 1.0),
 }
-
-def _word_axes(word: str) -> tuple:
-    return tuple(None if c == "I" else PAULI_AXES[c] for c in word)
 
 
 def _axis_matrix(axis) -> np.ndarray:
@@ -210,7 +207,8 @@ def parse_operator(text: str, n: int) -> ProductOp:
         return ProductOp(n=n, axes=axes, text=compact)
 
     if re.fullmatch(r"[IXYZ]+", compact) and len(compact) == n:
-        return ProductOp(n=n, axes=_word_axes(compact), text=compact)
+        axes = tuple(None if c == "I" else PAULI_AXES[c] for c in compact)
+        return ProductOp(n=n, axes=axes, text=compact)
 
     pos = 0
     seen: dict[int, str] = {}
@@ -485,16 +483,10 @@ def _match_plan(products: tuple, targets: tuple) -> tuple:
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=1024)
-def _word_op(word: str) -> ProductOp:
-    """The ProductOp of a Pauli word, built once per word."""
-    return ProductOp(len(word), _word_axes(word), word)
-
-
 def combine(records, expr: ObservableExpr) -> tuple[float, float]:
     """Expression value from one record per non-identity Pauli word of expr."""
     targets = [
-        (coeff, _word_op(word))
+        (coeff, parse_operator(word, expr.n))
         for word, coeff in expr.terms.items()
         if set(word) != {"I"}
     ]
@@ -648,13 +640,13 @@ def write_expectation_csv(fh, records) -> None:
         writer.writerow([rec.product.text, repr(rec.value), repr(rec.sigma)])
 
 
-def write_count_files(directory, tables, seed: int, prefix: str = "setting") -> dict:
+def write_count_files(directory, tables, seed: int) -> dict:
     """One outcome,count CSV per table plus a manifest; returns the manifest."""
     import os
 
     manifest = {"seed": seed, "settings": []}
     for k, table in enumerate(tables):
-        name = f"{prefix}-{k}.csv"
+        name = f"setting-{k}.csv"
         with open(os.path.join(directory, name), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["outcome", "count"])

@@ -29,6 +29,8 @@ from .witness import p_noise  # noqa: F401  (kept importable as robustness.p_noi
 MODES = ("all_axes", "y_only")
 
 _THETA_BATCH = 32  # angles per contraction; the whole grid at once only adds temporaries
+_CROSSOVER_HI = math.pi / 4  # crossover scans [0, hi] in 32 steps
+_CROSSOVER_TOL = 1e-4  # and bisects its bracket down to this width
 
 
 @dataclass(frozen=True)
@@ -146,18 +148,13 @@ def tolerance_curve(
     return ToleranceCurve(thetas=thetas, tolerances=tuple(tolerances), witness_label=w.label)
 
 
-def crossover(
-    w_a: Witness,
-    w_b: Witness,
-    rho: np.ndarray,
-    mode: str = "all_axes",
-    hi: float = math.pi / 4,
-    tol: float = 1e-4,
-) -> float:
-    """Angle where the two witnesses' tolerance curves cross, by bisection.
+def crossover(w_a: Witness, w_b: Witness, rho: np.ndarray, mode: str = "all_axes") -> float:
+    """Angle in (0, pi/4) where the two witnesses' tolerance curves cross, by
+    bisection to within 1e-4.
 
-    Raises ValueError when the difference has no sign change (or more than
-    one) on the part of (0, hi) where both witnesses still detect rho.
+    Raises ValueError when either witness does not detect rho at theta = 0,
+    and when the difference has no sign change (or more than one) on the
+    part of (0, pi/4) where both witnesses still detect rho.
     """
     rho_coords = _state_coords(w_a.expr.n, rho)  # once per crossover, not per angle
     if w_b.expr.n != w_a.expr.n:
@@ -165,26 +162,27 @@ def crossover(
 
     coords_a, coords_b = w_a.expr.coords(), w_b.expr.coords()
 
-    def try_diff(theta: float) -> float | None:
+    def tolerances(theta: float):
         [pa] = _tolerances(w_a.expr, coords_a, rho_coords, [theta], mode)
         [pb] = _tolerances(w_b.expr, coords_b, rho_coords, [theta], mode)
-        if pa is None or pb is None:
-            return None
-        return pa - pb
+        return pa, pb
 
     def diff(theta: float) -> float:
-        value = try_diff(theta)
-        if value is None:
+        pa, pb = tolerances(theta)
+        if pa is None or pb is None:
             raise ValueError(f"tolerance absent at theta={theta:.6f}; curves do not cross cleanly")
-        return value
+        return pa - pb
 
-    scan = [hi * k / 32 for k in range(33)]
+    scan = [_CROSSOVER_HI * k / 32 for k in range(33)]
     values = []
     for t in scan:  # stop where either witness goes blind; the bracket ends there
-        value = try_diff(t)
-        if value is None:
+        pa, pb = tolerances(t)
+        if pa is None or pb is None:
+            if not values:
+                blind = " and ".join(repr(w.label) for w, p in ((w_a, pa), (w_b, pb)) if p is None)
+                raise ValueError(f"no crossover: the state is not detected at theta=0 by {blind}")
             break
-        values.append(value)
+        values.append(pa - pb)
     if all(v == 0 for v in values):
         raise ValueError("no sign change: tolerance curves coincide on the bracket")
     flips = [
@@ -198,7 +196,7 @@ def crossover(
         raise ValueError("tolerance curves cross more than once on the bracket")
     lo, up = scan[flips[0]], scan[flips[0] + 1]
     lo_negative = values[flips[0]] < 0  # carried along: lo is never re-evaluated
-    while up - lo > tol:
+    while up - lo > _CROSSOVER_TOL:
         mid = 0.5 * (lo + up)
         mid_negative = diff(mid) < 0
         if lo_negative != mid_negative:

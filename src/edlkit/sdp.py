@@ -23,9 +23,12 @@ steps are affine invariant, so the basis choice changes only rounding.
 Both programs are one program form, solved by one engine,
 ``_barrier_path``: minimize c.y subject to x0 + sum_o y_o S_o = P_A +
 Q_A^{T_A} with P_A, Q_A PSD on every cut block A, where each S_o is a
-fixed direction in entry coordinates (a sum of Pauli words). Synthesis has
-x0 = I/2^n, one S_o per word orbit (the orbit's
-Pauli words) and the objective Tr(W rho). The margin program (maximize
+fixed direction in entry coordinates (a sum of Pauli words). Synthesis
+reads its program from two rows over ``pauli.all_words(n)``, which
+``_program_rows`` takes from rho and the family: the targets 2^n Tr(P rho)
+on the free words (0 elsewhere) and the 0/1 free-word indicator. It has
+x0 = I/2^n, one S_o per word orbit (the orbit's Pauli words) and the
+objective Tr(W rho). The margin program (maximize
 lambda with P_A, Q_A >= lambda*I) takes this form under the substitution
 P' = P - lambda*I, Q' = Q - lambda*I: T_A fixes I, so W - 2*lambda*I = P' +
 Q'^{T_A}, with x0 = W, one direction S = -2I, c = (-1) and one cut. The
@@ -47,8 +50,7 @@ t, so it is formed once per point, and a stage reuses the last one's.
 
 Each program is reduced by the symmetries of its own data, which one
 reader, ``_symmetries``, takes from the program's Pauli coordinates: for
-synthesis the targets 2^n Tr(P rho) on the free words (0 elsewhere), with
-the free-word set as a second row, and for the margin solves the witness's
+synthesis its two rows, and for the margin solves the witness's
 coefficients (the coefficients decide, not the rounded matrix). A map that
 fixes these data maps the program to itself: the objective, the free words,
 the feasible start and the set of T_A. The barrier is strictly convex, so
@@ -140,22 +142,6 @@ class SolverError(RuntimeError):
         self.last_gap = last_gap
 
 
-@dataclass(frozen=True)
-class SdpProblem:
-    """Synthesis program data: support restriction, objective, cone structure."""
-
-    n: int
-    free_words: tuple[str, ...]        # allowed non-identity Pauli words
-    target_vector: np.ndarray          # Tr(P rho) per free word
-    bipartitions: tuple[frozenset[int], ...]
-    identity_coeff: float              # fixed witness identity coordinate
-    free_index: np.ndarray             # position of each free word in pauli.all_words(n)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
-
-
 @dataclass
 class SdpSolution:
     witness_expr: ObservableExpr
@@ -186,7 +172,10 @@ class SynthesisResult:
         )
 
 
-def build_problem(rho: np.ndarray, family) -> SdpProblem:
+def _program_rows(rho: np.ndarray, family) -> tuple[np.ndarray, np.ndarray]:
+    """The synthesis program's input, two rows over ``pauli.all_words(n)``:
+    the targets 2^n Tr(P rho) on the free words (0 elsewhere) and the 0/1
+    free-word indicator."""
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     n = d.bit_length() - 1
@@ -203,16 +192,9 @@ def build_problem(rho: np.ndarray, family) -> SdpProblem:
     support = (pauli._letter_digits(n) != 0) @ (1 << np.arange(n - 1, -1, -1))
     masks = np.array([sum(1 << (n - q) for q in s) for s in fam])
     inside = np.any(np.arange(d)[:, None] & ~masks == 0, axis=1)
-    free = np.flatnonzero(inside[support])[1:]
-    words = pauli.all_words(n)
-    return SdpProblem(
-        n=n,
-        free_words=tuple(words[i] for i in free),
-        target_vector=d * pauli.to_pauli_coords(rho)[free],
-        bipartitions=pauli.bipartitions(n),
-        identity_coeff=1.0 / d,
-        free_index=free,
-    )
+    free = inside[support].astype(float)
+    free[0] = 0.0
+    return np.where(free, d * pauli.to_pauli_coords(rho), 0.0), free
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -303,20 +285,12 @@ class _PartialTranspose:
         d, m = basis.d, basis.m
         # moved[f]: the flat position whose entry T_A carries to position f
         moved = pauli.partial_transpose(np.arange(d * d).reshape(d, d), sorted(part))
-        moved = moved.real.astype(np.intp).ravel()
-        re_slot = np.empty(d * d, dtype=np.intp)
-        im_slot = np.zeros(d * d, dtype=np.intp)
-        im_sign = np.zeros(d * d)
-        re_slot[basis.diag] = np.arange(d)
-        for flat, sign in ((basis.upper, 1.0), (basis.lower, -1.0)):
-            re_slot[flat] = d + np.arange(m)
-            im_slot[flat] = d + m + np.arange(m)
-            im_sign[flat] = sign
-        src_diag, src_up = moved[basis.diag], moved[basis.upper]
-        perm = np.concatenate([re_slot[src_diag], re_slot[src_up], im_slot[src_up]])
-        sign = np.concatenate([np.ones(d + m), im_sign[src_up]])
+        self.pairs = moved.real.astype(np.intp).ravel()[basis.pairs]
+        # a moved entry's coordinates and Im sign, as basis.matrix() reads them
+        src_up = self.pairs[d:]
+        perm = np.concatenate([basis.source[self.pairs], basis.source[src_up] + m])
+        sign = np.concatenate([np.ones(d + m), basis.im_sign[src_up]])
         self.perm, self.sign = perm[: basis.size], sign[: basis.size]
-        self.pairs = moved[basis.pairs]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.sign * x[..., self.perm]
@@ -645,33 +619,33 @@ def synthesize(
     rho: np.ndarray, family, tol: SolverTolerances = SolverTolerances()
 ) -> SynthesisResult:
     """Solve the synthesis program; negative alpha means the family detects rho."""
-    problem = build_problem(rho, family)
-    # The program sees rho only through the targets of its free words: the
-    # reductions are read from them, and the group fixes the free words too.
-    target, free = np.zeros((2, 4**problem.n))
-    target[problem.free_index] = problem.target_vector
-    free[problem.free_index] = 1.0
-    return _synthesize(problem, *_symmetries(target, free, rtol=1e-12), tol)
+    # The program sees rho only through these rows: the reductions are read
+    # from them, and the group fixes the free words too.
+    target, free = _program_rows(rho, family)
+    return _synthesize(target, free, *_symmetries(target, free, rtol=1e-12), tol)
 
 
 def _synthesize(
-    problem: SdpProblem, real: bool, span: frozenset[int], group, tol: SolverTolerances
+    target: np.ndarray, free: np.ndarray, real: bool, span: frozenset[int], group,
+    tol: SolverTolerances,
 ) -> SynthesisResult:
-    """The barrier method on the program reduced by (real, span, group) as
-    ``_symmetries`` reads them; real=False, the span of all 2^n masks and
-    the trivial group give the full program."""
-    n, d = problem.n, problem.dim
+    """The barrier method on the program of the rows ``_program_rows`` reads,
+    reduced by (real, span, group) as ``_symmetries`` reads them; real=False,
+    the span of all 2^n masks and the trivial group give the full program."""
+    n = pauli._infer_n_coords(target.size)
+    d = 2**n
     basis = _entry_basis(n, real, span)
-    parts = problem.bipartitions
+    parts = pauli.bipartitions(n)
     # A real program has no place for the words with an odd number of Y
     # letters (the imaginary ones); a word whose X/Y mask is outside the
     # span reaches no kept entry.
     inside = np.zeros(d, dtype=bool)
     inside[list(span)] = True
-    free_idx = problem.free_index
+    free_idx = np.flatnonzero(free)
     odd_y = pauli.pt_signs(n, frozenset(range(1, n + 1)))[free_idx] < 0
     kept = inside[pauli.monomial_form(n)[0][free_idx, 0]] & ~(real & odd_y)
-    free_idx, c = free_idx[kept], problem.target_vector[kept]
+    free_idx = free_idx[kept]
+    c = target[free_idx]
 
     # One variable v_o per word orbit (w_f = v_o on the orbit) and one P block
     # per cut orbit, its barrier terms weighted by the orbit size. The words
@@ -694,7 +668,7 @@ def _synthesize(
         cols,
         phases,
         starts,
-        problem.identity_coeff * basis.identity,
+        basis.identity / d,
         c,
         2.0 * d * len(parts),  # two cones per bipartition
     )
@@ -708,7 +682,7 @@ def _synthesize(
 
     w = v[orbit]  # every word of an orbit carries its orbit's coefficient
     xw = np.zeros(4**n)  # the witness in Pauli coordinates
-    xw[0] = problem.identity_coeff
+    xw[0] = 1.0 / d
     xw[free_idx] = w
     alpha = float(c @ w + 1.0 / d)  # constant term: Tr((I/2^n) rho) / 2^n * 2^n
     w_entry = prog.x0 + v @ prog.sums

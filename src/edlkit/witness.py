@@ -66,11 +66,11 @@ class ObservableExpr:
         return cls(n, {words[i]: float(c) for i, c in enumerate(np.asarray(x)) if abs(c) > eps})
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, eps: float = 1e-12) -> "ObservableExpr":
-        """Pauli expansion of a Hermitian matrix."""
+    def from_matrix(cls, m: np.ndarray) -> "ObservableExpr":
+        """Pauli expansion of a Hermitian matrix, coefficients of at most 1e-12 dropped."""
         x = pauli.to_pauli_coords(m)
         n = (m.shape[0]).bit_length() - 1
-        return cls.from_coords(n, x, eps=eps)
+        return cls.from_coords(n, x)
 
     def matrix(self) -> np.ndarray:
         return pauli.from_pauli_coords(self.coords())
@@ -247,9 +247,10 @@ def projector_witness(psi: np.ndarray, label: str = "") -> Witness:
     return Witness(expr=expr, family=fam, label=label or "projector")
 
 
-def sample_biseparable_min(
-    expr: ObservableExpr, trials: int, seed: int, batch: int = 20000
-) -> float:
+_SAMPLE_BATCH = 20000  # product states drawn and evaluated per contraction
+
+
+def sample_biseparable_min(expr: ObservableExpr, trials: int, seed: int) -> float:
     """Minimum expectation over random pure biseparable product states.
 
     Each trial draws a uniform canonical bipartition and a Haar-random pure
@@ -271,7 +272,7 @@ def sample_biseparable_min(
         da, db = 2 ** len(a_qubits), 2 ** len(b_qubits)
         done = 0
         while done < count:
-            k = min(batch, count - done)
+            k = min(_SAMPLE_BATCH, count - done)
             a = _haar_block(rng, k, da)
             b = _haar_block(rng, k, db)
             prod = np.einsum("kp,kq->kpq", a, b).reshape((k,) + (2,) * n)

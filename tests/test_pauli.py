@@ -76,7 +76,7 @@ def test_transforms_build_no_dense_basis():
     x = pauli.to_pauli_coords(rho)
     pauli.from_pauli_coords(x)
     ObservableExpr.from_coords(5, x).matrix()
-    sdp.build_problem(rho, sdp.all_k_family(5, 2))
+    sdp._program_rows(rho, sdp.all_k_family(5, 2))
     info = pauli.pauli_basis.cache_info()
     assert info.hits + info.misses == before
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,21 @@ def test_crossover_requires_a_sign_change():
     w = load_paper_witness("D4", 5)
     with pytest.raises(ValueError):
         crossover(w, w, D4_RHO)
+
+
+def test_crossover_names_a_witness_that_does_not_detect_the_state():
+    # C4-1 never detects W4 while W4-1 does: the scan collects no value at all,
+    # which is no evidence that the curves coincide
+    rho = states.density(states.make_state("W4"))
+    c4_1, w4_1 = load_paper_witness("C4", 1), load_paper_witness("W4", 1)
+    assert p_noise(c4_1.expr, rho) is None and p_noise(w4_1.expr, rho) is not None
+    blind = re.escape(f"not detected at theta=0 by {c4_1.label!r}") + "$"
+    for w_a, w_b in ((c4_1, w4_1), (w4_1, c4_1)):
+        with pytest.raises(ValueError, match=blind):
+            crossover(w_a, w_b, rho)
+    both = re.escape(f"by {c4_1.label!r} and {c4_1.label!r}") + "$"
+    with pytest.raises(ValueError, match=both):
+        crossover(c4_1, c4_1, rho)
 
 
 def _bisect_reference(w_a, w_b, rho, mode, hi=math.pi / 4, tol=1e-4):

@@ -12,7 +12,6 @@ from edlkit.sdp import (
     SolverError,
     SolverTolerances,
     all_k_family,
-    build_problem,
     decomposition_margins,
     edl_scan,
     edl_search,
@@ -26,29 +25,27 @@ PAIRS_12_23 = [frozenset({1, 2}), frozenset({2, 3})]
 ALL_PAIRS_3 = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
 
 
-def test_build_problem_support_restriction():
-    prob = build_problem(W3_RHO, PAIRS_12_23)
-    assert prob.n == 3
-    assert prob.dim == 8
-    assert prob.identity_coeff == pytest.approx(1 / 8)
-    assert len(prob.bipartitions) == 3
-    words = set(prob.free_words)
-    assert "XXI" in words and "IZZ" in words and "IZI" in words
-    assert "XIX" not in words  # support {1,3} is not inside any subset
-    assert "III" not in words  # identity coordinate is fixed, not free
-    # target vector entries are Tr(P_w rho)
-    for w, t in zip(prob.free_words, prob.target_vector):
-        expect = np.real(np.trace(pauli.pauli_matrix(w) @ W3_RHO))
+def test_program_rows_support_restriction():
+    target, free = sdp_module._program_rows(W3_RHO, PAIRS_12_23)
+    words = pauli.all_words(3)
+    assert target.shape == free.shape == (64,)
+    assert set(free) == {0.0, 1.0}
+    free_words = {w for w, f in zip(words, free) if f}
+    assert {"XXI", "IZZ", "IZI"} <= free_words
+    assert "XIX" not in free_words  # support {1,3} is not inside any subset
+    assert "III" not in free_words  # identity coordinate is fixed, not free
+    # the target row is Tr(P_w rho) on the free words and 0 elsewhere
+    for w, t, f in zip(words, target, free):
+        expect = np.real(np.trace(pauli.pauli_matrix(w) @ W3_RHO)) if f else 0.0
         assert t == pytest.approx(expect, abs=1e-12)
 
 
-def test_build_problem_input_validation():
-    with pytest.raises(ValueError):
-        build_problem(W3_RHO, [])
-    with pytest.raises(ValueError):
-        build_problem(W3_RHO, [frozenset({1, 4})])
-    with pytest.raises(ValueError):
-        build_problem(np.eye(6) / 6, [frozenset({1})])
+def test_program_rows_input_validation():
+    bad = ((W3_RHO, []), (W3_RHO, [frozenset({1, 4})]), (np.eye(6) / 6, [frozenset({1})]))
+    for rho, family in bad:
+        for read in (sdp_module._program_rows, synthesize):
+            with pytest.raises(ValueError):
+                read(rho, family)
 
 
 def test_synthesize_w3_pair_family():
@@ -416,7 +413,7 @@ def _reductions(rho, family):
     caught at the seam before any solve."""
     seen = []
 
-    def spy(problem, real, span, group, tol):
+    def spy(target, free, real, span, group, tol):
         seen.append((real, span, group))
         raise _Stop
 
@@ -431,9 +428,10 @@ def _unreduced(rho, family):
     """The full program: the solver's seam called with the span of all 2^n
     ket XOR masks and the trivial group."""
     n = rho.shape[0].bit_length() - 1
-    problem = build_problem(rho, family)
+    target, free = sdp_module._program_rows(rho, family)
     return sdp_module._synthesize(
-        problem, not np.any(rho.imag), _full_span(n), (tuple(range(n)),), SolverTolerances()
+        target, free, not np.any(rho.imag), _full_span(n), (tuple(range(n)),),
+        SolverTolerances(),
     )
 
 
