@@ -1,4 +1,5 @@
-"""Tools for entanglement witnesses supported on small particle subsets."""
+"""Tools for entanglement witnesses supported on small particle subsets. The modules
+are the API; the root binds four of them, ``p_noise`` and ``__version__``."""
 
 import os as _os
 
@@ -10,82 +11,7 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from .pauli import (
-    bipartitions,
-    hermitian_eigen,
-    kron_all,
-    min_eigenvalue,
-    partial_trace,
-    partial_transpose,
-    pauli_matrix,
-    to_pauli_coords,
-    from_pauli_coords,
-)
-from .states import (
-    STATE_NAMES,
-    density,
-    fidelity,
-    make_state,
-    schmidt_lambda_max,
-    white_noise,
-)
-from .witness import (
-    ObservableExpr,
-    Witness,
-    evaluate,
-    load_catalog,
-    load_paper_witness,
-    p_noise,
-    projector_witness,
-    sample_biseparable_min,
-    support,
-)
-from .sdp import (
-    SdpSolution,
-    SolverError,
-    SolverTolerances,
-    SynthesisResult,
-    decomposition_margins,
-    edl_scan,
-    edl_search,
-    synthesize,
-    verify_witness,
-)
+from . import pauli, sdp, states, witness  # noqa: F401
+from .witness import p_noise  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ObservableExpr",
-    "STATE_NAMES",
-    "SdpSolution",
-    "SolverError",
-    "SolverTolerances",
-    "SynthesisResult",
-    "Witness",
-    "bipartitions",
-    "decomposition_margins",
-    "density",
-    "edl_scan",
-    "edl_search",
-    "evaluate",
-    "fidelity",
-    "from_pauli_coords",
-    "hermitian_eigen",
-    "kron_all",
-    "load_catalog",
-    "load_paper_witness",
-    "make_state",
-    "min_eigenvalue",
-    "p_noise",
-    "partial_trace",
-    "partial_transpose",
-    "pauli_matrix",
-    "projector_witness",
-    "sample_biseparable_min",
-    "schmidt_lambda_max",
-    "support",
-    "synthesize",
-    "to_pauli_coords",
-    "verify_witness",
-    "white_noise",
-]

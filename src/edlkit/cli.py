@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -45,6 +46,7 @@ class InputError(Exception):
 # --- loading helpers -----------------------------------------------------
 
 _LABEL_RE = re.compile(r"([WDC][34])-([1-9])", re.IGNORECASE)
+_MAX_GRID_POINTS = 10**6  # --theta grids, checked before building; the default has 121
 
 
 def _load_state(text: str) -> tuple[np.ndarray, str]:
@@ -149,11 +151,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise InputError(f"grid {text!r}: non-numeric field")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InputError(f"grid {text!r}: fields must be finite")
     if step <= 0 or stop <= start:
         raise InputError(f"grid {text!r}: need step > 0 and stop > start")
-    count = int(round((stop - start) / step))
-    grid = tuple(start + i * step for i in range(count + 1) if start + i * step <= stop + 1e-12)
-    return grid
+    span = (stop - start) / step  # inf when the quotient overflows
+    if not span + 1 <= _MAX_GRID_POINTS:
+        raise InputError(f"grid {text!r}: more than {_MAX_GRID_POINTS} points")
+    count = int(round(span))
+    return tuple(start + i * step for i in range(count + 1) if start + i * step <= stop + 1e-12)
 
 
 # --- options -------------------------------------------------------------

@@ -163,6 +163,8 @@ class ExpectationRecord:
     table: CountTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.sigma)):
+            raise ValueError(f"{self.product.text}: value and sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 

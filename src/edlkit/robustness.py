@@ -10,13 +10,14 @@ the tilted witness: Tr(W_t rho) = 2^n <w, (R_t^T)^(xn) r> for the Pauli
 coordinates w and r of witness and state (:func:`pauli.local_map`). Crossovers
 evaluate both witnesses the same way. Each batch of angles builds its letter
 maps as one (T, 4, 4) stack (``_letter_maps``) and checks mode and angles
-once (``_check_angles``, the checks of :class:`MisalignmentSpec`); nothing
-is cached.
+once (``_check_angles``, as :func:`misalign_expr` checks its one angle);
+nothing is cached.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,30 +34,22 @@ _CROSSOVER_HI = math.pi / 4  # crossover scans [0, hi] in 32 steps
 _CROSSOVER_TOL = 1e-4  # and bisects its bracket down to this width
 
 
-@dataclass(frozen=True)
-class MisalignmentSpec:
-    """Tilt angle in radians plus which axes tilt."""
-
-    theta: float
-    mode: str = "all_axes"
-
-    def __post_init__(self):
-        _check_angles((self.theta,), self.mode)
-
-
 def _check_angles(thetas, mode: str) -> None:
     """Raise ValueError for an unknown mode or a non-finite angle; warn once when
-    an angle lies outside [0, pi/2], at the line that made the spec or the curve."""
+    an angle lies outside [0, pi/2], at the first line outside this module."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not all(map(math.isfinite, thetas)):
         raise ValueError("theta must be finite")
     outside = [t for t in thetas if not 0.0 <= t <= math.pi / 2]
     if outside:
+        frame, level = sys._getframe(1), 2  # walk out of this module's frames
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"theta={outside[0]:.4g} is outside [0, pi/2]; the substitution "
             "is still applied but sweeps normally stay inside that range",
-            stacklevel=4,
+            stacklevel=level,
         )
 
 
@@ -76,18 +69,14 @@ def _letter_maps(thetas, mode: str) -> np.ndarray:
     return rows
 
 
-def _letter_map(spec: MisalignmentSpec) -> np.ndarray:
-    """4x4 matrix R with R[b, a] the weight of letter b in the tilted letter a."""
-    return _letter_maps((spec.theta,), spec.mode)[0]
-
-
-def misalign_expr(expr: ObservableExpr, spec: MisalignmentSpec) -> ObservableExpr:
-    """Expression with every letter of every term replaced by its tilted axis.
+def misalign_expr(expr: ObservableExpr, theta: float, mode: str = "all_axes") -> ObservableExpr:
+    """Expression with every letter of every term replaced by its axis tilted by theta.
 
     Identity letters are untouched, so the trace is preserved exactly; each
     tilted letter keeps unit Bloch norm, so it still squares to the identity.
     """
-    coords = pauli.local_map(expr.coords(), [_letter_map(spec)] * expr.n)
+    _check_angles((theta,), mode)
+    coords = pauli.local_map(expr.coords(), [_letter_maps((theta,), mode)[0]] * expr.n)
     return ObservableExpr.from_coords(expr.n, coords, eps=0.0)
 
 
@@ -96,8 +85,7 @@ def _tolerances(
 ) -> list[float | None]:
     """White-noise tolerance of expr (Pauli coordinates coords) misaligned by each
     angle, on the state with Pauli coordinates rho_coords: one contraction over
-    all the angles, whose letter maps are built as one stack and validated once
-    (:class:`MisalignmentSpec`'s checks)."""
+    all the angles, whose letter maps are built as one stack and validated once."""
     _check_angles(thetas, mode)
     # R^T as a transposed view of the C-ordered stack: local_map's summation
     # order follows the layout, and this is the layout the curves were pinned in

@@ -116,7 +116,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import pauli
-from .witness import ObservableExpr, Witness
+from .witness import ObservableExpr, Witness, _noise_tolerance
 
 DETECT_TOL = 1e-6  # alpha below -DETECT_TOL counts as detection
 FEAS_TOL = 1e-8  # a decomposition margin of at least -FEAS_TOL counts as PSD
@@ -699,7 +699,7 @@ def _synthesize(
         iterations=steps,
     )
     detected = alpha < -DETECT_TOL
-    p_noise = d * alpha / (d * alpha - 1.0) if detected else None
+    p_noise = _noise_tolerance(expr, alpha) if detected else None
     return SynthesisResult(solution=solution, detected=detected, p_noise=p_noise)
 
 

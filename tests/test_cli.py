@@ -233,6 +233,25 @@ def test_robustness_bad_mode_and_grid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:1e308:1e-308", "0:inf:0.1", "0:1:inf", "nan:1:0.1"])
+def test_robustness_non_finite_grid_exits_2(capsys, grid):
+    # the first ended in an OverflowError traceback: every field is finite, the count is not
+    code, out, err = run(capsys, "robustness", "--witness", "D4-5", "--compare", "projector",
+                         "--theta", grid)
+    assert code == 2
+    assert out == ""
+    assert f"grid {grid!r}:" in err
+
+
+def test_robustness_grid_over_the_point_cap_exits_2(capsys):
+    # 10**6 + 1 points: refused before any of them is built
+    code, out, err = run(capsys, "robustness", "--witness", "D4-5", "--compare", "projector",
+                         "--theta", "0:1:1e-6")
+    assert code == 2
+    assert out == ""
+    assert "more than 1000000 points" in err
+
+
 def test_robustness_compare_qubit_count_mismatch_exits_2(tmp_path, capsys):
     path = tmp_path / "w3.json"
     load_paper_witness("W3", 1).save(path)
@@ -383,6 +402,22 @@ def test_estimate_missing_record_exits_2(tmp_path, capsys, target):
     assert code == 2
     assert out == ""
     assert "operator 'XXII' matched 0 records, expected exactly 1" in err
+
+
+def test_estimate_non_finite_record_exits_2(tmp_path, capsys):
+    # a nan value and a nan sigma used to pass through as value=nan ... detected=no (exit 3)
+    table = tmp_path / "t.csv"
+    run(capsys, "simulate", "--witness", "D4-5", "--shots", "1000", "--seed", "3", "--out", str(table))
+    rows = table.read_text().splitlines()
+    op, value, _ = rows[1].rsplit(",", 2)
+    rows[1] = f"{op},{value},nan"
+    op, _, sigma = rows[2].rsplit(",", 2)
+    rows[2] = f"{op},nan,{sigma}"
+    table.write_text("\n".join(rows) + "\n")
+    code, out, err = run(capsys, "estimate", "--expectations", str(table), "--witness", "D4-5")
+    assert code == 2
+    assert out == ""
+    assert "value and sigma must be finite" in err
 
 
 def test_estimate_simulated_roundtrip(tmp_path, capsys):

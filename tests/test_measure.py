@@ -723,6 +723,14 @@ def test_expectation_record_sigma_validation():
         ExpectationRecord(parse_operator("Z", 1), 0.5, -0.1)
 
 
+@pytest.mark.parametrize("value, sigma", [("nan", "0.1"), ("0.5", "nan"), ("inf", "0.1"), ("0.5", "inf")])
+def test_read_expectation_csv_rejects_non_finite_fields(tmp_path, value, sigma):
+    path = tmp_path / "exp.csv"
+    path.write_text(f"operator,value,sigma\nZ1Z2,0.25,0.01\nX1,{value},{sigma}\n")
+    with pytest.raises(ValueError, match="X1: value and sigma must be finite"):
+        read_expectation_csv(path, 3)
+
+
 def test_count_files_roundtrip(tmp_path):
     rho = states.density(states.make_state("W3"))
     settings = [parse_operator(w, 3) for w in ("ZZZ", "XXX")]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from edlkit import pauli, robustness, states
 from edlkit.pauli import PAULI_1Q
-from edlkit.robustness import MisalignmentSpec, ToleranceCurve, crossover, default_grid, misalign_expr, tolerance_curve
+from edlkit.robustness import ToleranceCurve, crossover, default_grid, misalign_expr, tolerance_curve
 from edlkit.witness import (
     ObservableExpr,
     _noise_tolerance,
@@ -26,27 +26,25 @@ D4_RHO = states.density(states.make_state("D4"))
 def test_zero_angle_is_identity():
     w = load_paper_witness("D4", 5)
     for mode in robustness.MODES:
-        out = misalign_expr(w.expr, MisalignmentSpec(0.0, mode))
+        out = misalign_expr(w.expr, 0.0, mode)
         assert out.isclose(w.expr)
 
 
 def test_all_axes_letter_substitution():
     theta = 0.3
     c, s = math.cos(theta), math.sin(theta)
-    spec = MisalignmentSpec(theta, "all_axes")
-    out = misalign_expr(ObservableExpr(1, {"X": 1.0}), spec)
+    out = misalign_expr(ObservableExpr(1, {"X": 1.0}), theta, "all_axes")
     assert out.terms == pytest.approx({"X": c, "Y": s})
-    out = misalign_expr(ObservableExpr(1, {"Y": 1.0}), spec)
+    out = misalign_expr(ObservableExpr(1, {"Y": 1.0}), theta, "all_axes")
     assert out.terms == pytest.approx({"Y": c, "Z": s})
-    out = misalign_expr(ObservableExpr(1, {"Z": 1.0}), spec)
+    out = misalign_expr(ObservableExpr(1, {"Z": 1.0}), theta, "all_axes")
     assert out.terms == pytest.approx({"Z": c, "X": s})
 
 
 def test_y_only_leaves_x_and_z():
     theta = 0.25
-    spec = MisalignmentSpec(theta, "y_only")
     expr = ObservableExpr(2, {"XZ": 0.5, "YI": 1.0})
-    out = misalign_expr(expr, spec)
+    out = misalign_expr(expr, theta, "y_only")
     assert out.terms == pytest.approx(
         {"XZ": 0.5, "YI": math.cos(theta), "ZI": math.sin(theta)}
     )
@@ -54,7 +52,7 @@ def test_y_only_leaves_x_and_z():
 
 def test_misalignment_preserves_trace_and_identity():
     w = load_paper_witness("C4", 4)
-    out = misalign_expr(w.expr, MisalignmentSpec(0.4, "all_axes"))
+    out = misalign_expr(w.expr, 0.4, "all_axes")
     assert out.trace() == pytest.approx(w.expr.trace(), abs=1e-12)
     assert out.identity_coeff == pytest.approx(w.expr.identity_coeff, abs=1e-14)
 
@@ -62,18 +60,29 @@ def test_misalignment_preserves_trace_and_identity():
 def test_misaligned_word_is_a_product_of_unit_observables():
     # each tilted letter has unit Bloch norm, so the square of the one-qubit
     # misaligned X is the identity
-    spec = MisalignmentSpec(0.7, "all_axes")
-    m = misalign_expr(ObservableExpr(1, {"X": 1.0}), spec).matrix()
+    m = misalign_expr(ObservableExpr(1, {"X": 1.0}), 0.7, "all_axes").matrix()
     assert np.max(np.abs(m @ m - np.eye(2))) < 1e-12
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        MisalignmentSpec(0.1, "sideways")
-    with pytest.raises(ValueError):
-        MisalignmentSpec(float("nan"), "all_axes")
-    with pytest.warns(UserWarning):
-        MisalignmentSpec(2.0, "all_axes")
+    expr = load_paper_witness("D4", 5).expr
+    with pytest.raises(ValueError, match="mode must be one of"):
+        misalign_expr(expr, 0.1, "sideways")
+    with pytest.raises(ValueError, match="theta must be finite"):
+        misalign_expr(expr, float("nan"), "all_axes")
+    with pytest.warns(UserWarning, match="outside"):
+        misalign_expr(expr, 2.0, "all_axes")
+
+
+def test_out_of_range_warning_names_the_calling_file():
+    # the warning skips edlkit's frames: it points at the line that passed the angle
+    # (called straight from the test function, whose caller is pytest's)
+    w = load_paper_witness("D4", 5)
+    with pytest.warns(UserWarning, match="outside") as record:
+        misalign_expr(w.expr, 2.0)
+    with pytest.warns(UserWarning, match="outside") as curve_record:
+        tolerance_curve(w, D4_RHO, [0.1, 2.0])
+    assert [r.filename for r in [*record, *curve_record]] == [__file__, __file__]
 
 
 def test_tolerance_curve_validation():
@@ -102,7 +111,7 @@ def test_letter_map_stack_gives_the_per_angle_tolerances(mode):
     grid = default_grid()
     for theta in grid:
         assert np.array_equal(
-            robustness._letter_map(MisalignmentSpec(theta, mode)), _rule_letter_map(theta, mode)
+            robustness._letter_maps((theta,), mode)[0], _rule_letter_map(theta, mode)
         )
     for w in load_catalog():
         n = w.expr.n
@@ -110,7 +119,7 @@ def test_letter_map_stack_gives_the_per_angle_tolerances(mode):
         coords = w.expr.coords()
         for start in range(0, len(grid), robustness._THETA_BATCH):
             batch = grid[start:start + robustness._THETA_BATCH]
-            maps = np.stack([robustness._letter_map(MisalignmentSpec(t, mode)).T for t in batch])
+            maps = np.stack([robustness._letter_maps((t,), mode)[0].T for t in batch])
             values = pauli.local_map(rho_coords, [maps] * n) @ coords * 2**n
             got = robustness._tolerances(w.expr, coords, rho_coords, batch, mode)
             assert got == [_noise_tolerance(w.expr, float(v)) for v in values], (w.label, start)
@@ -168,9 +177,8 @@ def test_crossover_d4_witness_vs_projector():
     # the projector starts higher but decays faster: it wins below the
     # crossover and loses above it
     for theta, proj_wins in ((theta_all / 2, True), (0.35, False)):
-        spec = MisalignmentSpec(theta, "all_axes")
-        pa = p_noise(misalign_expr(w5.expr, spec), D4_RHO)
-        pb = p_noise(misalign_expr(proj.expr, spec), D4_RHO)
+        pa = p_noise(misalign_expr(w5.expr, theta, "all_axes"), D4_RHO)
+        pb = p_noise(misalign_expr(proj.expr, theta, "all_axes"), D4_RHO)
         assert (pb > pa) == proj_wins
 
 
@@ -199,9 +207,8 @@ def _bisect_reference(w_a, w_b, rho, mode, hi=math.pi / 4, tol=1e-4):
     """crossover's bracket and bisection, re-evaluating diff(lo) at every step."""
 
     def diff(theta):
-        spec = MisalignmentSpec(theta, mode)
-        pa = p_noise(misalign_expr(w_a.expr, spec), rho)
-        pb = p_noise(misalign_expr(w_b.expr, spec), rho)
+        pa = p_noise(misalign_expr(w_a.expr, theta, mode), rho)
+        pb = p_noise(misalign_expr(w_b.expr, theta, mode), rho)
         return None if pa is None or pb is None else pa - pb
 
     scan = [hi * k / 32 for k in range(33)]
@@ -263,7 +270,7 @@ def test_tolerance_curve_matches_per_point_p_noise():
         for mode in robustness.MODES:
             curve = tolerance_curve(w, rho, grid, mode)
             per_point = tuple(
-                p_noise(misalign_expr(w.expr, MisalignmentSpec(t, mode)), rho) for t in grid
+                p_noise(misalign_expr(w.expr, t, mode), rho) for t in grid
             )
             # the curve contracts in another order than the expanded sum: same
             # absent points, values equal to rounding
@@ -323,6 +330,6 @@ def test_misalign_expr_matches_tilted_kronecker_product(n, seed, theta, mode):
     words = pauli.all_words(n)
     picks = rng.choice(4**n, size=rng.integers(1, 4**n + 1), replace=False)
     expr = ObservableExpr(n, {words[i]: rng.standard_normal() for i in picks})
-    out = misalign_expr(expr, MisalignmentSpec(theta, mode))
+    out = misalign_expr(expr, theta, mode)
     assert out.identity_coeff == expr.identity_coeff
     assert np.max(np.abs(out.matrix() - _tilted_operator(expr, theta, mode))) <= 1e-12
